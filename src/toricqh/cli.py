@@ -166,7 +166,7 @@ def _solve_target(args):
     label, fan, F = _load(args.target, args.primal)
     coeffs = _parse_floats(args.coeffs, len(fan.rays), "--coeffs") if args.coeffs else None
     W = potential.build_potential(fan, F, coeffs)
-    cfg = SolverConfig(seed=args.seed, starts=args.starts, workers=args.workers)
+    cfg = SolverConfig(seed=args.seed, starts=args.starts)
     report = solver.solve(W, kushnirenko_bound(fan), cfg)
     return label, W, report
 
@@ -265,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--coeffs", help="comma-separated positive coefficients, one per ray")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--starts", type=int, default=None)
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--json", action="store_true")
         p.set_defaults(func=_cmd_solve if name == "solve" else _cmd_spectrum)
 
@@ -295,3 +294,7 @@ def run_cli(argv) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -6,13 +6,13 @@ Newton runs in logarithmic coordinates u (x = exp(u)), where the gradient
 and Hessian of W(exp(u)) are exact finite sums; the torus constraint
 disappears. Converged samples are canonically sorted, merged by relative
 distance, certified exactly when they snap onto rational points, and ranked
-by Hessian rank. The solver promises determinism for a fixed seed, including
-across worker counts, but not completeness; missing roots are reported as an
-honest deficit.
+by Hessian rank. The starts run through one batched Newton kernel, a block
+of rows at a time. The solver promises determinism for a fixed seed,
+independent of how the starts are blocked, but not completeness; missing
+roots are reported as an honest deficit.
 """
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -38,7 +38,6 @@ class SolverConfig:
     max_iters: int = 100
     cluster_tol: float = 1e-6
     rank_tol: float = 1e-8  # relative to the largest singular value
-    workers: int = 1
 
     def __post_init__(self):
         if self.starts is not None and self.starts < 1:
@@ -80,52 +79,100 @@ def _arrays(W: Superpotential):
     return exponents, coeffs
 
 
-def _newton_run(exponents, coeffs, u0, tol, max_iters):
-    """One Newton run from u0; returns (x, residual) or None.
+# Starts per Newton block: large enough to amortise the per-iteration numpy
+# calls, small enough that the (block, terms, dim) Hessian stack stays small.
+_BLOCK = 256
+_POLISH_STEPS = 30
+_ESCAPE = 50.0  # |Re u| beyond this: |x| or 1/|x| past e^50, the start diverged
 
-    Once the residual drops below tol the iteration keeps polishing while it
-    still improves: near a degenerate critical point convergence is only
+
+def _newton_block(exponents, coeffs, u0, tol, max_iters):
+    """Newton runs from the rows of u0, all at once; returns (x, residual) as
+    arrays, with residual inf on rows that did not converge.
+
+    Once a row's residual drops below tol the iteration keeps polishing while
+    it still improves: near a degenerate critical point convergence is only
     linear, and stopping at the first sub-tolerance iterate would leave
-    samples scattered at the square root of the tolerance.
+    samples scattered at the square root of the tolerance. A row stops when
+    it escapes (|Re u| > 50), its residual is not finite, it stops improving
+    or leaves the basin after a sub-tolerance iterate (keeping the best one),
+    its polish steps run out, or its Hessian is singular.
+
+    The stacked matrix-vector products below give each row the same bits as
+    a separate exponents @ u; a gemm such as u @ exponents.T does not.
     """
-    u = u0.copy()
-    best = None
-    polish_left = 30
-    for _ in range(max_iters + 30):
-        if np.any(np.abs(u.real) > 50.0):
+    n = len(u0)
+    best_u = np.empty_like(u0)
+    best_res = np.full(n, np.inf)
+    polish_left = np.full(n, _POLISH_STEPS)
+    rows = np.arange(n)
+    u = u0
+    for _ in range(max_iters + _POLISH_STEPS):
+        inside = ~np.any(np.abs(u.real) > _ESCAPE, axis=1)
+        rows, u = rows[inside], u[inside]
+        if rows.size == 0:
             break
-        t = coeffs * np.exp(exponents @ u)
-        g = exponents.T @ t
-        residual = float(np.max(np.abs(g)))
-        if not np.isfinite(residual):
-            break
-        if residual < tol:
-            if best is None or residual < best[1]:
-                best = (u.copy(), residual)
-            elif best is not None:
-                break  # no further improvement
-            polish_left -= 1
-            if polish_left <= 0 or residual == 0.0:
-                break
-        elif best is not None:
-            break  # left the basin again; keep the best polished iterate
-        h = exponents.T @ (t[:, None] * exponents)
+        t = coeffs * np.exp(np.matmul(exponents, u[..., None])[..., 0])
+        g = np.matmul(exponents.T, t[..., None])[..., 0]
+        residual = np.max(np.abs(g), axis=1)
+        below = residual < tol
+        improved = below & (residual < best_res[rows])
+        hit = rows[improved]
+        best_u[hit] = u[improved]
+        best_res[hit] = residual[improved]
+        polish_left[hit] -= 1
+        stop = (
+            ~np.isfinite(residual)
+            | (below & ~improved)
+            | (~below & np.isfinite(best_res[rows]))
+            | (improved & ((polish_left[rows] <= 0) | (residual == 0.0)))
+        )
+        rows, u, t, g = rows[~stop], u[~stop], t[~stop], g[~stop]
+        h = np.matmul(exponents.T, t[..., None] * exponents)
         try:
-            step = np.linalg.solve(h, -g)
+            step = np.linalg.solve(h, -g[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            break
+            # A stacked solve fails as a whole; only the singular rows stop.
+            step = np.zeros_like(g)
+            solvable = np.ones(rows.size, dtype=bool)
+            for i in range(rows.size):
+                try:
+                    step[i] = np.linalg.solve(h[i], -g[i])
+                except np.linalg.LinAlgError:
+                    solvable[i] = False
+            rows, u, step = rows[solvable], u[solvable], step[solvable]
         u = u + step
-    if best is None:
-        return None
-    return np.exp(best[0]), best[1]
+    return np.exp(best_u), best_res
 
 
 def _coord_key(coords):
     return tuple(part for z in coords for part in (z.real, z.imag))
 
 
-def _close(x, y, tol):
-    return all(abs(a - b) <= tol * max(abs(a), abs(b)) for a, b in zip(x, y))
+def _merge(clusters, tol):
+    """Fold each cluster into the first earlier kept cluster whose centre is
+    within relative distance tol in every complex coordinate; a member with
+    a lower residual becomes the centre. Returns the kept clusters in order.
+    """
+    if not clusters:
+        return []
+    kept = []
+    centres = np.empty((len(clusters), len(clusters[0]["coords"])), dtype=complex)
+    for cl in clusters:
+        c = np.array(cl["coords"], dtype=complex)
+        head = centres[: len(kept)]
+        near = np.all(np.abs(head - c) <= tol * np.maximum(np.abs(head), np.abs(c)), axis=1)
+        if near.any():
+            j = int(np.argmax(near))
+            target = kept[j]
+            target["size"] += cl["size"]
+            if cl["residual"] < target["residual"]:
+                target["coords"], target["residual"] = cl["coords"], cl["residual"]
+                centres[j] = c
+        else:
+            centres[len(kept)] = c
+            kept.append(cl)
+    return kept
 
 
 def _numeric_rank(matrix_rows, rank_tol) -> int:
@@ -212,39 +259,28 @@ def solve(W: Superpotential, expected_count: int, cfg: SolverConfig = SolverConf
     """Multistart Newton solve; deterministic for fixed cfg.seed.
 
     Start moduli are log-uniform in [1/2, 2] with uniform phases; each start
-    draws its own substream from (seed, start index), so results do not
-    depend on scheduling or on cfg.workers.
+    draws its own substream from (seed, start index), and every row of the
+    batched Newton kernel runs independently, so results do not depend on
+    how the starts are split into blocks.
     """
     exponents, coeffs = _arrays(W)
     n_starts = cfg.starts if cfg.starts is not None else 200 * expected_count
     seed = cfg.seed & 0xFFFFFFFFFFFFFFFF
 
-    def run(k: int):
+    def start(k: int):
         rng = np.random.default_rng([seed, k])
         logmod = rng.uniform(np.log(0.5), np.log(2.0), W.dim)
         phase = rng.uniform(0.0, 2.0 * np.pi, W.dim)
-        u0 = logmod + 1j * phase
-        return _newton_run(exponents, coeffs, u0, cfg.newton_tol, cfg.max_iters)
+        return logmod + 1j * phase
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            raw = list(pool.map(run, range(n_starts)))
-    else:
-        raw = [run(k) for k in range(n_starts)]
-
-    converged = [(tuple(map(complex, x)), res) for (x, res) in (r for r in raw if r is not None)]
+    converged = []
+    for lo in range(0, n_starts, _BLOCK):
+        u0 = np.array([start(k) for k in range(lo, min(lo + _BLOCK, n_starts))])
+        xs, residuals = _newton_block(exponents, coeffs, u0, cfg.newton_tol, cfg.max_iters)
+        converged += [(tuple(map(complex, x)), float(res)) for x, res in zip(xs, residuals) if np.isfinite(res)]
     converged.sort(key=lambda item: (_coord_key(item[0]), item[1]))
 
-    clusters: list[dict] = []
-    for coords, res in converged:
-        for cl in clusters:
-            if _close(coords, cl["coords"], cfg.cluster_tol):
-                cl["size"] += 1
-                if res < cl["residual"]:
-                    cl["coords"], cl["residual"] = coords, res
-                break
-        else:
-            clusters.append({"coords": coords, "residual": res, "size": 1})
+    clusters = _merge([{"coords": coords, "residual": res, "size": 1} for coords, res in converged], cfg.cluster_tol)
 
     # A residual below tol only localizes a critical point of multiplicity m
     # to about tol^(1/m), so samples around a degenerate point scatter far
@@ -253,19 +289,8 @@ def solve(W: Superpotential, expected_count: int, cfg: SolverConfig = SolverConf
     for cl in clusters:
         rank = _numeric_rank(potential.log_hessian(W, cl["coords"]), cfg.rank_tol)
         cl["degenerate"] = rank < W.dim
-    merged: list[dict] = []
-    for cl in clusters:
-        if cl["degenerate"]:
-            for target in merged:
-                if target["degenerate"] and _close(cl["coords"], target["coords"], wide_tol):
-                    target["size"] += cl["size"]
-                    if cl["residual"] < target["residual"]:
-                        target["coords"], target["residual"] = cl["coords"], cl["residual"]
-                    break
-            else:
-                merged.append(cl)
-        else:
-            merged.append(cl)
+    kept = {id(cl) for cl in _merge([cl for cl in clusters if cl["degenerate"]], wide_tol)}
+    merged = [cl for cl in clusters if not cl["degenerate"] or id(cl) in kept]
 
     points = []
     for cl in merged:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from toricqh.cli import run_cli
 
@@ -153,3 +157,15 @@ def test_primal_file(tmp_path, capsys):
     assert code == 0
     assert "verdict: semisimple" in out
     assert "found: 4" in out
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricqh.cli", "solve", "cp2", "--json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["found"] == 3 and data["verdict"] == "semisimple"
