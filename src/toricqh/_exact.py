@@ -1,11 +1,14 @@
-"""Small exact linear algebra kit over Fraction, used by the geometry layers.
+"""Small exact linear algebra kit, used by the geometry layers.
 
-Vectors are tuples, matrices are lists of row tuples. Everything is copied
-before elimination, so callers can share inputs freely.
+Vectors are tuples, matrices are lists of row tuples; entries are ints or
+Fractions. Every elimination runs on Python ints through one fraction-free
+Gauss-Jordan core (Bareiss 1968): rational rows are first scaled by the lcm of
+their denominators, which changes neither rank, kernel nor solutions.
+Everything is copied before elimination, so callers can share inputs freely.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 IntVec = tuple[int, ...]
 RatVec = tuple[Fraction, ...]
@@ -15,106 +18,108 @@ def ratvec(v) -> RatVec:
     return tuple(Fraction(x) for x in v)
 
 
-def dot(u, v) -> Fraction:
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
-def vsub(u, v) -> RatVec:
-    return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v))
+def vsub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
 
 
-def is_zero(v) -> bool:
-    return all(x == 0 for x in v)
+def _integer_rows(rows) -> tuple[list[list[int]], list[int]]:
+    """Each row scaled to integers by the lcm of its denominators; also the scales."""
+    m, scales = [], []
+    for r in rows:
+        den = lcm(*(x.denominator for x in r))
+        m.append([int(x * den) for x in r])
+        scales.append(den)
+    return m, scales
 
 
-def _echelon(rows):
-    """Row-reduce a copy of `rows`; returns (reduced rows, pivot columns)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
+def _eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of the integer rows `m` in place,
+    over their first `ncols` columns.
+
+    Returns (pivot columns, last pivot D, sign of the row permutation). Every
+    division is exact: each entry stays, up to sign, a minor of the input. On
+    return, row r < rank holds D times row r of the reduced row echelon form,
+    rows from rank on are zero, and D is the determinant of the pivot block.
+    """
+    pivots: list[int] = []
+    prev, sign, r = 1, 1, 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
         if r == len(m):
             break
-    return m, pivots
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        pivot_row = m[r]
+        pv = pivot_row[c]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(pv * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = pv
+        pivots.append(c)
+        r += 1
+    return pivots, prev, sign
 
 
 def rank(rows) -> int:
-    return len(_echelon(rows)[1])
+    if not rows:
+        return 0
+    m, _ = _integer_rows(rows)
+    return len(_eliminate(m, len(m[0]))[0])
 
 
 def det(rows) -> Fraction:
-    m = [list(map(Fraction, r)) for r in rows]
-    n = len(m)
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            result = -result
-        result *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return result
+    m, scales = _integer_rows(rows)
+    pivots, d, sign = _eliminate(m, len(m))
+    if len(pivots) < len(m):
+        return Fraction(0)
+    return Fraction(sign * d, prod(scales))
 
 
 def solve(rows, rhs) -> RatVec | None:
     """Solve the square system rows @ x = rhs; None when singular."""
     n = len(rows)
-    m = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return None
-        m[c], m[pivot] = m[pivot], m[c]
-        pv = m[c][c]
-        m[c] = [x / pv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return tuple(m[i][n] for i in range(n))
+    m, _ = _integer_rows([(*r, b) for r, b in zip(rows, rhs)])
+    pivots, d, _ = _eliminate(m, n)
+    if len(pivots) < n:
+        return None
+    return tuple(Fraction(row[n], d) for row in m)
+
+
+def integer_kernel(rows, ncols) -> tuple[list[list[int]], int]:
+    """(D times the reduced-echelon kernel basis, D): one integer vector per
+    free column. With ncols - 1 independent rows the one vector is, up to
+    sign, the signed maximal minors of the rows."""
+    m, _ = _integer_rows(rows)
+    pivots, d, _ = _eliminate(m, ncols)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [0] * ncols
+            v[fc] = d
+            for row, pc in zip(m, pivots):
+                v[pc] = -row[fc]
+            basis.append(v)
+    return basis, d
 
 
 def kernel(rows, ncols) -> list[RatVec]:
-    """Basis of the right kernel of the given rows in ambient dimension ncols."""
-    if not rows:
-        return [tuple(Fraction(int(i == j)) for j in range(ncols)) for i in range(ncols)]
-    m, pivots = _echelon(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(tuple(v))
-    return basis
+    """Basis of the right kernel of the given rows in ambient dimension ncols,
+    read off the reduced row echelon form."""
+    basis, d = integer_kernel(rows, ncols)
+    return [tuple(Fraction(x, d) for x in v) for v in basis]
 
 
 def primitive(v) -> IntVec:
     """Scale a nonzero rational vector by a positive factor to coprime integers."""
-    v = ratvec(v)
-    if is_zero(v):
+    if not any(v):
         raise ValueError("zero vector has no primitive representative")
     den = lcm(*(x.denominator for x in v))
     ints = [int(x * den) for x in v]
@@ -128,12 +133,3 @@ def affine_rank(points) -> int:
         return 0
     base = points[0]
     return rank([vsub(p, base) for p in points[1:]])
-
-
-def independent_rows(rows) -> list[int]:
-    """Indices of a maximal linearly independent subset of rows, greedily."""
-    chosen: list[int] = []
-    for i in range(len(rows)):
-        if rank([rows[j] for j in chosen] + [rows[i]]) > len(chosen):
-            chosen.append(i)
-    return chosen

@@ -33,16 +33,20 @@ def _fmt_point(coords) -> str:
     return "(" + ", ".join(_fmt_complex(z) for z in coords) + ")"
 
 
+def _read_rows(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return corpus.parse_polytope(fh.read()).rows
+
+
 def _load(target: str, primal: bool):
     """Resolve a CLI target to (label, fan, support function)."""
     if os.path.exists(target):
-        with open(target, encoding="utf-8") as fh:
-            pf = corpus.parse_polytope(fh.read())
+        rows = _read_rows(target)
         if primal:
-            moment = Polytope.from_points(pf.rows, lattice_tag="M")
+            moment = Polytope.from_points(rows, lattice_tag="M")
             fan, F = support_from_polytope(moment)
         else:
-            ray_poly = Polytope.from_points(pf.rows, lattice_tag="N")
+            ray_poly = Polytope.from_points(rows, lattice_tag="N")
             fan = fan_from_reflexive(ray_poly)
             F = monotone_support(fan)
         return target, fan, F
@@ -72,19 +76,13 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    entry = None
-    if os.path.exists(args.target):
-        with open(args.target, encoding="utf-8") as fh:
-            pf = corpus.parse_polytope(fh.read())
-        rows = pf.rows
-        label = args.target
+    entry = None if os.path.exists(args.target) else corpus.entry(args.target)
+    rows = _read_rows(args.target) if entry is None else entry.dual_vertices
+    print(f"input: {args.target if entry is None else entry.name}")
+    if entry is not None and not args.primal:
+        P = entry.ray_polytope()  # the same hull corpus.build puts under the fan
     else:
-        entry = corpus.entry(args.target)
-        rows = entry.dual_vertices
-        label = entry.name
-    print(f"input: {label}")
-    side = "M" if args.primal else "N"
-    P = Polytope.from_points(rows, lattice_tag=side)
+        P = Polytope.from_points(rows, lattice_tag="M" if args.primal else "N")
     ray_poly = dual_polytope(P) if args.primal else P
     refl, why = is_reflexive(ray_poly)
     print("ray polytope (dual side):")

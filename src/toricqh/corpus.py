@@ -151,6 +151,7 @@ class CatalogEntry:
     monotone_ample: bool = True  # False when the anticanonical class is only nef
     fan_builder: Callable[[], Fan] | None = field(default=None, compare=False)
 
+    @lru_cache(maxsize=None)  # one hull per entry, shared with build()
     def ray_polytope(self) -> Polytope:
         return Polytope.from_points(self.dual_vertices, lattice_tag="N")
 
@@ -199,12 +200,13 @@ def _entries() -> list[CatalogEntry]:
     return entries
 
 
+@lru_cache(maxsize=None)
 def catalog() -> tuple[CatalogEntry, ...]:
     return tuple(_entries())
 
 
 def entry(name: str) -> CatalogEntry:
-    for e in _entries():
+    for e in catalog():
         if e.name == name:
             return e
     raise UnknownInput(f"no catalog entry named {name!r}")

@@ -83,6 +83,11 @@ class Fan:
     def simplicial(self) -> bool:
         return True  # enforced at construction
 
+    @cached_property
+    def ray_hull(self) -> Polytope:
+        """Convex hull of the ray generators; preset when the fan is its face fan."""
+        return Polytope.from_points(self.rays, lattice_tag="N")
+
     def __repr__(self):
         return f"Fan(dim={self.dim}, rays={len(self.rays)}, maximal={len(self.maximal_cones)})"
 
@@ -107,7 +112,9 @@ def fan_from_reflexive(dual: Polytope) -> Fan:
                 "only simplicial reflexive polytopes are supported"
             )
         maximal.append(tuple(index[tuple(int(x) for x in v)] for v in verts))
-    return Fan.from_maximal_cones(dual.dim, rays, maximal)
+    fan = Fan.from_maximal_cones(dual.dim, rays, maximal)
+    fan.__dict__["ray_hull"] = dual
+    return fan
 
 
 def is_smooth(f: Fan) -> tuple[bool, Cone | None]:
@@ -187,8 +194,7 @@ def kushnirenko_bound(f: Fan) -> int:
     When the fan is the face fan of that hull (the Fano case) this equals
     the number of maximal cones; for subdivided fans it can be larger.
     """
-    hull = Polytope.from_points(f.rays, lattice_tag="N")
-    vol = normalized_volume(hull)
+    vol = normalized_volume(f.ray_hull)
     assert vol.denominator == 1
     return int(vol)
 

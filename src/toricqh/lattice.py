@@ -1,7 +1,8 @@
 """Exact lattice-polytope geometry: hulls, duality, reflexivity, Delzant
 tests, normalized volume, lattice-point enumeration.
 
-Everything here runs on arbitrary-precision rationals; no floating point.
+Everything here is exact, with no floating point: vertices and offsets are
+rationals, and hulls, eliminations and lattice-point scans run on integers.
 Vertices, facets and lattice points are kept in lexicographic order so that
 all outputs are byte-deterministic.
 """
@@ -11,7 +12,7 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor
+from math import ceil, floor, lcm
 
 from . import _exact
 from ._exact import IntVec, RatVec, affine_rank, dot, ratvec, vsub
@@ -93,43 +94,40 @@ class Polytope:
 def convex_hull_facets(points) -> list[Facet]:
     """Irredundant facet list of conv(points), primitive inner normals.
 
-    Brute force: candidate hyperplane directions come from (d-1)-subsets of
-    the difference vectors based at each point; a candidate normal yields a
-    facet when its support set is (d-1)-dimensional. Intended for small
+    Every affinely independent d-subset of the points spans a hyperplane
+    whose normal is the vector of signed (d-1)-minors of its difference rows;
+    the hyperplane carries a facet when all points lie on one side of it.
+    Rational points are scaled to one common denominator first, so minors and
+    side tests run on integers. C(n, d) candidates: intended for small
     instances (d <= 6, at most a few dozen points).
     """
-    pts = sorted(set(ratvec(p) for p in points))
+    pts = sorted(set(tuple(p) for p in points))
     if not pts:
         raise NotFullDimensional("no points given")
     d = len(pts[0])
-    if affine_rank(pts) < d:
-        raise NotFullDimensional(f"points span affine dimension {affine_rank(pts)} < {d}")
+    den = lcm(*(x.denominator for p in pts for x in p))
+    ipts = [tuple(int(x * den) for x in p) for p in pts]
+    if affine_rank(ipts) < d:
+        raise NotFullDimensional(f"points span affine dimension {affine_rank(ipts)} < {d}")
 
-    candidates: set[IntVec] = set()
-    if d == 1:
-        candidates.add((1,))
-    else:
-        for base in pts:
-            diffs = sorted(set(vsub(q, base) for q in pts if q != base))
-            for subset in itertools.combinations(diffs, d - 1):
-                if _exact.rank(list(subset)) != d - 1:
-                    continue
-                ker = _exact.kernel(list(subset), d)
-                if len(ker) != 1:
-                    continue
-                n = _exact.primitive(ker[0])
-                first = next(x for x in n if x != 0)
-                if first < 0:
-                    n = tuple(-x for x in n)
-                candidates.add(n)
+    candidates: set[tuple[IntVec, int]] = set()
+    for subset in itertools.combinations(ipts, d):
+        base = subset[0]
+        ker, _ = _exact.integer_kernel([vsub(q, base) for q in subset[1:]], d)
+        if len(ker) != 1:
+            continue
+        n = _exact.primitive(ker[0])
+        if next(x for x in n if x != 0) < 0:
+            n = tuple(-x for x in n)
+        candidates.add((n, dot(base, n)))
 
-    facets: set[Facet] = set()
-    for n in candidates:
-        vals = [dot(p, n) for p in pts]
-        for normal, offset in ((n, min(vals)), (tuple(-x for x in n), -max(vals))):
-            support = [p for p, v in zip(pts, vals) if dot(p, normal) == offset]
-            if affine_rank(support) == d - 1:
-                facets.add(Facet(normal, Fraction(offset)))
+    facets = []
+    for n, c in candidates:
+        vals = [dot(p, n) for p in ipts]
+        if min(vals) == c:
+            facets.append(Facet(n, Fraction(c, den)))
+        elif max(vals) == c:
+            facets.append(Facet(tuple(-x for x in n), Fraction(-c, den)))
     return sorted(facets)
 
 
@@ -164,14 +162,40 @@ def is_reflexive(P: Polytope) -> tuple[bool, str | None]:
 
 
 def lattice_points(P: Polytope) -> list[IntVec]:
-    """All integral points of P, by bounding-box scan with facet filtering."""
-    lo = [ceil(min(v[i] for v in P.vertices)) for i in range(P.dim)]
-    hi = [floor(max(v[i] for v in P.vertices)) for i in range(P.dim)]
-    facets = P.facets
+    """All integral points of P, in lexicographic order.
+
+    Each facet, as the integer inequality <normal, x> >= ceil(offset), bounds
+    the next coordinate to an interval once the earlier ones are fixed and
+    the later ones range over the bounding box; on the last coordinate the
+    interval is exact. Only prefixes that can still be completed are visited,
+    so the cost does not depend on the signs of the coordinates.
+    """
+    d = P.dim
+    lo = [ceil(min(v[i] for v in P.vertices)) for i in range(d)]
+    hi = [floor(max(v[i] for v in P.vertices)) for i in range(d)]
+    normals = [f.normal for f in P.facets]
+    # reach[k][j]: the most the coordinates after k add to <normals[j], x> in the box
+    reach = [[sum(max(a * lo[i], a * hi[i]) for i, a in enumerate(n) if i > k) for n in normals] for k in range(d)]
     points = []
-    for cand in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if all(dot(cand, f.normal) >= f.offset for f in facets):
-            points.append(cand)
+
+    def scan(k, head, need):
+        if k == d:
+            points.append(head)
+            return
+        low, high = lo[k], hi[k]
+        for n, r, extra in zip(normals, need, reach[k]):
+            r -= extra
+            a = n[k]
+            if a > 0:
+                low = max(low, -(-r // a))
+            elif a < 0:
+                high = min(high, r // a)
+            elif r > 0:
+                return
+        for x in range(low, high + 1):
+            scan(k + 1, (*head, x), [r - n[k] * x for n, r in zip(normals, need)])
+
+    scan(0, (), [ceil(f.offset) for f in P.facets])
     return points
 
 
@@ -185,18 +209,11 @@ def interior_lattice_points(P: Polytope) -> list[IntVec]:
 
 def _adjacent_vertices(P: Polytope) -> dict[RatVec, list[RatVec]]:
     """Vertex adjacency via facet incidence: v ~ w iff the smallest face
-    containing both has exactly two vertices."""
+    containing both (P itself when no facet does) has exactly two vertices."""
     active = {v: frozenset(i for i, f in enumerate(P.facets) if dot(v, f.normal) == f.offset) for v in P.vertices}
     adj: dict[RatVec, list[RatVec]] = {v: [] for v in P.vertices}
-    if P.dim == 1:
-        a, b = P.vertices
-        adj[a].append(b)
-        adj[b].append(a)
-        return adj
     for v, w in itertools.combinations(P.vertices, 2):
         common = active[v] & active[w]
-        if not common:
-            continue
         on_face = [u for u in P.vertices if common <= active[u]]
         if len(on_face) == 2:
             adj[v].append(w)
@@ -218,38 +235,20 @@ def is_delzant(P: Polytope) -> tuple[bool, str | None]:
     return True, None
 
 
-def _triangulate(points: list[RatVec]) -> list[tuple[int, ...]]:
-    """Triangulate the full-dimensional conv(points) into simplices, returned
-    as index tuples. Fans out from the first (lex-min) point over the facets
-    that do not contain it."""
-    k = len(points[0])
-    if len(points) == k + 1:
-        return [tuple(range(k + 1))]
-    facets = convex_hull_facets(points)
-    apex = 0  # points arrive sorted, so index 0 is the lex-min vertex
+def _triangulate(P: Polytope, face: frozenset[int], k: int, facet_sets) -> list[tuple[int, ...]]:
+    """Pulling triangulation of a k-dimensional face of P, given by its vertex
+    indices, into simplices of vertex indices. Fans out from the face's first
+    vertex over the facets of the face that miss it. Those are the
+    (k-1)-dimensional intersections of the face with the facets of P, so no
+    hull is computed."""
+    if len(face) == k + 1:
+        return [tuple(sorted(face))]
+    apex = min(face)
     simplices = []
-    for f in facets:
-        if dot(points[apex], f.normal) == f.offset:
-            continue
-        fidx = [i for i, p in enumerate(points) if dot(p, f.normal) == f.offset]
-        if len(fidx) == k:
-            simplices.append((apex, *fidx))
-            continue
-        sub = _project_affine([points[i] for i in fidx])
-        for tri in _triangulate(sub):
-            simplices.append((apex, *(fidx[j] for j in tri)))
+    for sub in {face & g for g in facet_sets}:
+        if apex not in sub and len(sub) >= k and affine_rank([P.vertices[i] for i in sub]) == k - 1:
+            simplices += [(apex, *t) for t in _triangulate(P, sub, k - 1, facet_sets)]
     return simplices
-
-
-def _project_affine(points: list[RatVec]) -> list[RatVec]:
-    """Coordinates of `points` relative to a basis of their affine span."""
-    base = points[0]
-    diffs = [vsub(p, base) for p in points]
-    basis_idx = _exact.independent_rows(diffs)
-    basis = [diffs[i] for i in basis_idx]
-    coord_idx = _exact.independent_rows([tuple(row[j] for row in basis) for j in range(len(base))])
-    square = [[basis[i][j] for i in range(len(basis))] for j in coord_idx]
-    return [_exact.solve(square, [diffs_p[j] for j in coord_idx]) for diffs_p in diffs]
 
 
 def normalized_volume(P: Polytope, apex=None) -> Fraction:
@@ -264,18 +263,13 @@ def normalized_volume(P: Polytope, apex=None) -> Fraction:
         apex = tuple(sum(v[i] for v in P.vertices) / n for i in range(d))
     else:
         apex = ratvec(apex)
+    facet_sets = [frozenset(i for i, v in enumerate(P.vertices) if dot(v, f.normal) == f.offset) for f in P.facets]
     total = Fraction(0)
-    for f in P.facets:
+    for f, face in zip(P.facets, facet_sets):
         if dot(apex, f.normal) == f.offset:
             continue
-        fverts = list(P.vertices_on(f))
-        if d == 1:
-            total += abs(fverts[0][0] - apex[0])
-            continue
-        sub = _project_affine(fverts)
-        for tri in _triangulate(sub):
-            rows = [vsub(fverts[i], apex) for i in tri]
-            total += abs(_exact.det(rows))
+        for tri in _triangulate(P, face, d - 1, facet_sets):
+            total += abs(_exact.det([vsub(P.vertices[i], apex) for i in tri]))
     return total
 
 

@@ -199,7 +199,7 @@ def _oracle_facets(points):
     return sorted(facets)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_hull_matches_oracle(d):
     rng = random.Random(1000 + d)
     done = 0
