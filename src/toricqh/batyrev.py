@@ -46,9 +46,6 @@ class QuantumRelation:
     def q_exponents(self) -> tuple[int, int]:
         return len(self.collection), sum(m for _, m in self.a)
 
-    def s_value(self, ray: int) -> Fraction:
-        return dict(self.s_values)[ray]
-
 
 @dataclass(frozen=True)
 class Presentation:
@@ -56,11 +53,6 @@ class Presentation:
     support_values: tuple[Fraction, ...]
     linear: tuple[LinearRelation, ...]
     quantum: tuple[QuantumRelation, ...]
-
-    @property
-    def c1(self) -> tuple[int, ...]:
-        """Coefficients of the anticanonical class: the sum of all variables."""
-        return (1,) * len(self.rays)
 
 
 def linear_ideal(f: Fan) -> list[LinearRelation]:

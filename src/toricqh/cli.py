@@ -1,22 +1,21 @@
 """Command-line interface.
 
 Targets are either catalog entry names or paths to vertex-list files
-(rows are ray-polytope vertices by default; --primal flips this). Exit codes:
+(rows are ray-polytope vertices by default; --primal reads a file's rows, or a
+catalog entry's rays, as moment-polytope vertices instead). Exit codes:
 0 success, 1 domain error, 2 parse/usage error.
 """
 
 import argparse
-import os
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from . import batyrev, corpus, potential, solver, spectra, support
 from .errors import DomainError, ParseError
 from .fan import fan_from_reflexive, is_complete, is_smooth, kushnirenko_bound, primitive_collections
 from .lattice import Polytope, dual_polytope, is_delzant, is_reflexive, lattice_points
 from .newton import quasimorphism_report
-from .solver import SolverConfig
-from .support import monotone_support, support_from_polytope
 
 
 def _fmt(x: float) -> str:
@@ -33,40 +32,52 @@ def _fmt_point(coords) -> str:
     return "(" + ", ".join(_fmt_complex(z) for z in coords) + ")"
 
 
-def _read_rows(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return corpus.parse_polytope(fh.read()).rows
+def _resolve(target: str, primal: bool):
+    """(catalog entry or None, hull of the target's rows on the side --primal
+    picks). Not dualised here: a Delzant moment polytope with the origin on
+    its boundary has no dual."""
+    if Path(target).exists():
+        entry, rows = None, corpus.parse_polytope(Path(target).read_text(encoding="utf-8")).rows
+    else:
+        entry = corpus.entry(target)  # raises UnknownInput for junk targets
+        if not primal:
+            return entry, entry.ray_polytope()  # the same hull corpus.build puts under the fan
+        rows = entry.dual_vertices
+    return entry, Polytope.from_points(rows, lattice_tag="M" if primal else "N")
 
 
-def _load(target: str, primal: bool):
-    """Resolve a CLI target to (label, fan, support function)."""
-    if os.path.exists(target):
-        rows = _read_rows(target)
-        if primal:
-            moment = Polytope.from_points(rows, lattice_tag="M")
-            fan, F = support_from_polytope(moment)
-        else:
-            ray_poly = Polytope.from_points(rows, lattice_tag="N")
-            fan = fan_from_reflexive(ray_poly)
-            F = monotone_support(fan)
-        return target, fan, F
-    entry = corpus.entry(target)  # raises UnknownInput for junk targets
-    fan, F = corpus.build(target)
-    return f"{entry.name} ({entry.provenance})", fan, F
+def _fan(entry, P: Polytope, primal: bool):
+    """(fan, support function): a catalog name's own fan, a Delzant moment
+    polytope's normal fan with its facet offsets, or else the face fan of the
+    ray polytope with the monotone support."""
+    if entry is not None and not primal:
+        return corpus.build(entry.name)
+    if primal and is_delzant(P)[0]:
+        return support.support_from_polytope(P)
+    fan = fan_from_reflexive(dual_polytope(P) if primal else P)
+    return fan, support.monotone_support(fan)
 
 
-def _parse_floats(text: str, expected: int, what: str) -> list[float]:
+def _target(args):
+    """(label, fan, support function) of the command's target."""
+    entry, P = _resolve(args.target, args.primal)
+    fan, F = _fan(entry, P, args.primal)
+    label = args.target if entry is None or args.primal else f"{entry.name} ({entry.provenance})"
+    return label, fan, F
+
+
+def _parse_values(text: str, expected: int, what: str, kind) -> tuple:
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != expected:
         raise DomainError(f"{what}: expected {expected} values, got {len(parts)}")
-    return [float(p) for p in parts]
+    return tuple(kind(p) for p in parts)
 
 
-def _parse_fractions(text: str, expected: int, what: str) -> list[Fraction]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != expected:
-        raise DomainError(f"{what}: expected {expected} values, got {len(parts)}")
-    return [Fraction(p) for p in parts]
+def _potential(args):
+    """(label, fan, superpotential) of the command's target and --coeffs."""
+    label, fan, F = _target(args)
+    coeffs = _parse_values(args.coeffs, len(fan.rays), "--coeffs", float) if args.coeffs else None
+    return label, fan, potential.build_potential(fan, F, coeffs)
 
 
 def _cmd_catalog(args) -> int:
@@ -76,13 +87,8 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    entry = None if os.path.exists(args.target) else corpus.entry(args.target)
-    rows = _read_rows(args.target) if entry is None else entry.dual_vertices
-    print(f"input: {args.target if entry is None else entry.name}")
-    if entry is not None and not args.primal:
-        P = entry.ray_polytope()  # the same hull corpus.build puts under the fan
-    else:
-        P = Polytope.from_points(rows, lattice_tag="M" if args.primal else "N")
+    entry, P = _resolve(args.target, args.primal)
+    print(f"input: {args.target}")
     ray_poly = dual_polytope(P) if args.primal else P
     refl, why = is_reflexive(ray_poly)
     print("ray polytope (dual side):")
@@ -99,11 +105,7 @@ def _cmd_check(args) -> int:
     print(f"  facets: {len(moment.facets)}")
     print(f"  lattice points: {len(lattice_points(moment))}")
     print(f"  delzant: {'yes' if delz else f'no ({dwhy})'}")
-    if entry is not None:
-        fan, F = corpus.build(entry.name)
-    else:
-        fan = fan_from_reflexive(ray_poly)
-        F = monotone_support(fan)
+    fan, F = _fan(entry, P, args.primal)
     smooth, offender = is_smooth(fan)
     convex, _ = support.is_strictly_convex(F)
     print(
@@ -116,7 +118,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_fan(args) -> int:
-    label, fan, _ = _load(args.target, args.primal)
+    label, fan, _ = _target(args)
     print(f"input: {label}")
     print(f"rays ({len(fan.rays)}):")
     for i, ray in enumerate(fan.rays):
@@ -132,10 +134,9 @@ def _cmd_fan(args) -> int:
 
 
 def _cmd_presentation(args) -> int:
-    label, fan, F = _load(args.target, args.primal)
+    label, fan, F = _target(args)
     if args.support:
-        values = _parse_fractions(args.support, len(fan.rays), "--support")
-        F = support.SupportFunction(fan, tuple(values))
+        F = support.SupportFunction(fan, _parse_values(args.support, len(fan.rays), "--support", Fraction))
         ok, witness = support.is_strictly_convex(F)
         if not ok:
             cone, ray = witness
@@ -152,21 +153,16 @@ def _cmd_presentation(args) -> int:
 
 
 def _cmd_potential(args) -> int:
-    label, fan, F = _load(args.target, args.primal)
-    coeffs = _parse_floats(args.coeffs, len(fan.rays), "--coeffs") if args.coeffs else None
-    W = potential.build_potential(fan, F, coeffs)
+    label, _, W = _potential(args)
     print(f"input: {label}")
     print("W = " + potential.render(W, symbolic=args.symbolic))
     return 0
 
 
 def _solve_target(args):
-    label, fan, F = _load(args.target, args.primal)
-    coeffs = _parse_floats(args.coeffs, len(fan.rays), "--coeffs") if args.coeffs else None
-    W = potential.build_potential(fan, F, coeffs)
-    cfg = SolverConfig(seed=args.seed, starts=args.starts)
-    report = solver.solve(W, kushnirenko_bound(fan), cfg)
-    return label, W, report
+    label, fan, W = _potential(args)
+    cfg = solver.SolverConfig(seed=args.seed, starts=args.starts)
+    return label, W, solver.solve(W, kushnirenko_bound(fan), cfg)
 
 
 def _cmd_solve(args) -> int:
@@ -230,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_target(p):
         p.add_argument("target", help="catalog entry name or polytope file path")
         p.add_argument("--primal", action="store_true",
-                       help="interpret file rows as moment-polytope vertices")
+                       help="read the file's rows, or the catalog entry's rays, as moment-polytope vertices")
 
     sub.add_parser("catalog", help="list built-in examples").set_defaults(func=_cmd_catalog)
 

@@ -15,16 +15,12 @@ from .fan import Fan, fan_from_reflexive
 from .lattice import Polytope
 from .support import SupportFunction, monotone_support
 
-SIDE_DUAL = "dual"
-SIDE_PRIMAL = "primal"
-
 
 @dataclass(frozen=True)
 class PolytopeFile:
     dim: int
     count: int
     rows: tuple[IntVec, ...]
-    side_hint: str = SIDE_DUAL
 
 
 def parse_polytope(text: str) -> PolytopeFile:
@@ -156,10 +152,11 @@ class CatalogEntry:
         return Polytope.from_points(self.dual_vertices, lattice_tag="N")
 
     def build(self) -> tuple[Fan, SupportFunction]:
-        if self.fan_builder is not None:
-            fan = self.fan_builder()
-        else:
+        if self.fan_builder is None:
             fan = fan_from_reflexive(self.ray_polytope())
+        else:
+            fan = self.fan_builder()
+            fan.__dict__["ray_hull"] = self.ray_polytope()  # the builder's rays are dual_vertices
         return fan, monotone_support(fan)
 
 

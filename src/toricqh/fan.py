@@ -67,10 +67,6 @@ class Fan:
     def ray_matrix(self, cone: Cone) -> list[IntVec]:
         return [self.rays[i] for i in cone.ray_indices]
 
-    def has_cone(self, ray_indices) -> bool:
-        c = Cone(tuple(sorted(ray_indices)))
-        return c in set(self.cones.get(c.dim, ()))
-
     @cached_property
     def smooth(self) -> bool:
         return is_smooth(self)[0]
@@ -79,13 +75,9 @@ class Fan:
     def complete(self) -> bool:
         return is_complete(self)
 
-    @property
-    def simplicial(self) -> bool:
-        return True  # enforced at construction
-
     @cached_property
     def ray_hull(self) -> Polytope:
-        """Convex hull of the ray generators; preset when the fan is its face fan."""
+        """Convex hull of the ray generators; preset when the caller already has it."""
         return Polytope.from_points(self.rays, lattice_tag="N")
 
     def __repr__(self):

@@ -36,6 +36,8 @@ class SolverConfig:
     starts: int | None = None  # default resolves to 200 * expected_count
     newton_tol: float = 1e-12
     max_iters: int = 100
+    # samples of one simple point agree to about newton_tol * |H^-1|, while the
+    # catalog's distinct critical points lie at least 0.2 apart
     cluster_tol: float = 1e-6
     rank_tol: float = 1e-8  # relative to the largest singular value
 
@@ -202,7 +204,8 @@ def _snap_rational(W, coords, tol) -> tuple[Fraction, ...] | None:
 
     The exact-zero requirement means a generous tol cannot produce a wrong
     certificate; it can only attach a blob of samples to a genuine critical
-    point with rational coordinates.
+    point with rational coordinates. So limit_denominator(12) only limits which
+    exact points can be found; a point needing larger denominators stays numeric.
     """
     if any(abs(complex(z).imag) > tol for z in coords):
         return None
@@ -284,7 +287,8 @@ def solve(W: Superpotential, expected_count: int, cfg: SolverConfig = SolverConf
 
     # A residual below tol only localizes a critical point of multiplicity m
     # to about tol^(1/m), so samples around a degenerate point scatter far
-    # wider than cluster_tol. Re-merge degenerate clusters at that radius.
+    # wider than cluster_tol. Re-merge degenerate clusters at tol^(1/4), which
+    # covers multiplicities up to 4 (u8's degenerate points have 3).
     wide_tol = max(cfg.cluster_tol, cfg.newton_tol ** 0.25)
     for cl in clusters:
         rank = _numeric_rank(potential.log_hessian(W, cl["coords"]), cfg.rank_tol)

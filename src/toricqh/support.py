@@ -2,7 +2,7 @@
 a toric symplectic class.
 
 A support function stores one rational value per ray. On each maximal cone
-of a smooth fan it is represented by the unique linear form agreeing with
+of a simplicial fan it is represented by the unique linear form agreeing with
 those values on the cone's rays; strict convexity means every off-cone ray
 sees a strictly larger value under that form than its own.
 """
@@ -13,7 +13,7 @@ from functools import cached_property
 
 from . import _exact
 from ._exact import RatVec
-from .errors import NotComplete, NotDelzant, NotSmooth, NotStrictlyConvex
+from .errors import NotComplete, NotDelzant, NotStrictlyConvex
 from .fan import Cone, Fan
 from .lattice import Facet, Polytope, is_delzant
 
@@ -33,8 +33,6 @@ class SupportFunction:
     @cached_property
     def _cone_forms(self) -> dict[Cone, RatVec]:
         """Linear form m_sigma per maximal cone, with <m_sigma, n_rho> = F(n_rho)."""
-        if not self.fan.smooth:
-            raise NotSmooth("per-cone linear forms need a smooth fan")
         forms = {}
         for cone in self.fan.maximal_cones:
             rows = self.fan.ray_matrix(cone)

@@ -4,6 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from toricqh import corpus
 from toricqh.cli import run_cli
 
 
@@ -169,3 +172,82 @@ def test_module_entry_point_runs_the_cli():
     assert proc.returncode == 0, proc.stderr
     data = json.loads(proc.stdout)
     assert data["found"] == 3 and data["verdict"] == "semisimple"
+
+
+def test_check_catalog_primal_reports_the_fan_of_its_own_polytope(capsys):
+    # cp2's rays read as moment vertices span the P^2/Z3 triangle, not P^2
+    code, out, _ = run(capsys, "check", "cp2", "--primal")
+    assert code == 0
+    assert "delzant: no" in out
+    assert "smooth: no (cone (0, 1))" in out
+
+
+def test_check_primal_file_with_a_non_smooth_face_fan(tmp_path, capsys):
+    path = tmp_path / "triangle.txt"
+    path.write_text("2 3\n1 0\n0 1\n-1 -1\n")
+    code, out, _ = run(capsys, "check", str(path), "--primal")
+    assert code == 0
+    assert "delzant: no" in out
+    assert "smooth: no (cone (0, 1))" in out
+
+
+@pytest.mark.parametrize("name", [e.name for e in corpus.catalog()])
+def test_check_primal_delzant_exactly_when_smooth(name, capsys):
+    code, out, _ = run(capsys, "check", name, "--primal")
+    fan_line = [line for line in out.splitlines() if line.startswith("fan:")]
+    if not fan_line:
+        assert code == 1  # a non-simplicial face fan stops the report
+        return
+    assert code == 0
+    assert ("delzant: yes" in out) == ("smooth: yes" in fan_line[0])
+
+
+@pytest.mark.parametrize("command", ["fan", "presentation", "potential", "solve", "spectrum"])
+def test_primal_catalog_label_gives_no_provenance(command, capsys):
+    # bl3_cp2's rays read as moment vertices span a Delzant hexagon
+    code, out, _ = run(capsys, command, "bl3_cp2", "--primal")
+    assert code == 0
+    assert out.splitlines()[0] == "input: bl3_cp2"
+    assert corpus.entry("bl3_cp2").provenance not in out
+
+
+# Recorded before `check` and the other target commands shared one resolver.
+RECTANGLE_SOLVE = {
+    "critical_values": [[-4.0, 0.0], [0.0, 0.0], [0.0, 0.0], [4.0, 0.0]],
+    "expected": 4,
+    "found": 4,
+    "points": [
+        {"coords": [[x, 0.0], [y, 0.0]], "nondeg": True, "rank": 2, "residual": 0.0}
+        for x in (-1.0, 1.0) for y in (-1.0, 1.0)
+    ],
+    "verdict": "semisimple",
+}
+RECTANGLE_PRESENTATION = {
+    "c1": "sum of all z",
+    "linear": [{"coeffs": [-1, 0, 0, 1], "m": [1, 0]}, {"coeffs": [0, -1, 1, 0], "m": [0, 1]}],
+    "quantum": [
+        {"C": [0, 3], "a": {}, "sF": ["-2", "0"], "sigmaC": []},
+        {"C": [1, 2], "a": {}, "sF": ["-1", "0"], "sigmaC": []},
+    ],
+    "rays": [[-1, 0], [0, -1], [0, 1], [1, 0]],
+}
+
+
+def test_primal_rectangle_with_the_origin_on_its_boundary(tmp_path, capsys):
+    # [0, 2] x [0, 1] is Delzant but has no polar dual
+    path = tmp_path / "rectangle.txt"
+    path.write_text("2 4\n0 0\n2 0\n0 1\n2 1\n")
+    code, out, _ = run(capsys, "solve", str(path), "--primal", "--json")
+    assert code == 0
+    assert json.loads(out) == RECTANGLE_SOLVE
+    code, out, _ = run(capsys, "presentation", str(path), "--primal", "--json")
+    assert code == 0
+    assert json.loads(out) == RECTANGLE_PRESENTATION
+
+
+def test_presentation_on_a_non_smooth_primal_triangle_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "triangle.txt"
+    path.write_text("2 3\n1 0\n0 1\n-1 -1\n")
+    code, _, err = run(capsys, "presentation", str(path), "--primal")
+    assert code == 1
+    assert err.startswith("error: ")
