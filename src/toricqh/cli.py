@@ -32,18 +32,17 @@ def _fmt_point(coords) -> str:
     return "(" + ", ".join(_fmt_complex(z) for z in coords) + ")"
 
 
-def _resolve(target: str, primal: bool):
-    """(catalog entry or None, hull of the target's rows on the side --primal
-    picks). Not dualised here: a Delzant moment polytope with the origin on
-    its boundary has no dual."""
+def _resolve(target: str):
+    """(catalog entry or None, hull of the target's rows: a file's rows or a
+    catalog entry's rays, on whichever side --primal picks). Not dualised
+    here: a Delzant moment polytope with the origin on its boundary has no
+    dual."""
     if Path(target).exists():
         entry, rows = None, corpus.parse_polytope(Path(target).read_text(encoding="utf-8")).rows
     else:
         entry = corpus.entry(target)  # raises UnknownInput for junk targets
-        if not primal:
-            return entry, entry.ray_polytope()  # the same hull corpus.build puts under the fan
         rows = entry.dual_vertices
-    return entry, Polytope.from_points(rows, lattice_tag="M" if primal else "N")
+    return entry, Polytope.from_points(rows)
 
 
 def _fan(entry, P: Polytope, primal: bool):
@@ -60,7 +59,7 @@ def _fan(entry, P: Polytope, primal: bool):
 
 def _target(args):
     """(label, fan, support function) of the command's target."""
-    entry, P = _resolve(args.target, args.primal)
+    entry, P = _resolve(args.target)
     fan, F = _fan(entry, P, args.primal)
     label = args.target if entry is None or args.primal else f"{entry.name} ({entry.provenance})"
     return label, fan, F
@@ -87,7 +86,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    entry, P = _resolve(args.target, args.primal)
+    entry, P = _resolve(args.target)
     print(f"input: {args.target}")
     ray_poly = dual_polytope(P) if args.primal else P
     refl, why = is_reflexive(ray_poly)
@@ -98,7 +97,7 @@ def _cmd_check(args) -> int:
     print(f"  reflexive: {'yes' if refl else f'no ({why})'}")
     if not refl:
         raise DomainError(f"not reflexive: {why}")
-    moment = dual_polytope(ray_poly)
+    moment = P if args.primal else dual_polytope(P)
     delz, dwhy = is_delzant(moment)
     print("moment polytope (primal side):")
     print(f"  vertices: {len(moment.vertices)}")

@@ -147,16 +147,11 @@ class CatalogEntry:
     monotone_ample: bool = True  # False when the anticanonical class is only nef
     fan_builder: Callable[[], Fan] | None = field(default=None, compare=False)
 
-    @lru_cache(maxsize=None)  # one hull per entry, shared with build()
     def ray_polytope(self) -> Polytope:
-        return Polytope.from_points(self.dual_vertices, lattice_tag="N")
+        return Polytope.from_points(self.dual_vertices)
 
     def build(self) -> tuple[Fan, SupportFunction]:
-        if self.fan_builder is None:
-            fan = fan_from_reflexive(self.ray_polytope())
-        else:
-            fan = self.fan_builder()
-            fan.__dict__["ray_hull"] = self.ray_polytope()  # the builder's rays are dual_vertices
+        fan = fan_from_reflexive(self.ray_polytope()) if self.fan_builder is None else self.fan_builder()
         return fan, monotone_support(fan)
 
 

@@ -75,11 +75,6 @@ class Fan:
     def complete(self) -> bool:
         return is_complete(self)
 
-    @cached_property
-    def ray_hull(self) -> Polytope:
-        """Convex hull of the ray generators; preset when the caller already has it."""
-        return Polytope.from_points(self.rays, lattice_tag="N")
-
     def __repr__(self):
         return f"Fan(dim={self.dim}, rays={len(self.rays)}, maximal={len(self.maximal_cones)})"
 
@@ -94,19 +89,13 @@ def fan_from_reflexive(dual: Polytope) -> Fan:
     if not ok:
         raise NotReflexive(why)
     rays = [tuple(int(x) for x in v) for v in dual.vertices]
-    index = {r: i for i, r in enumerate(rays)}
-    maximal = []
-    for f in dual.facets:
-        verts = dual.vertices_on(f)
-        if len(verts) != dual.dim:
+    for f, face in zip(dual.facets, dual.incidence):
+        if len(face) != dual.dim:
             raise NotSimplicial(
-                f"facet with normal {f.normal} has {len(verts)} vertices; "
+                f"facet with normal {f.normal} has {len(face)} vertices; "
                 "only simplicial reflexive polytopes are supported"
             )
-        maximal.append(tuple(index[tuple(int(x) for x in v)] for v in verts))
-    fan = Fan.from_maximal_cones(dual.dim, rays, maximal)
-    fan.__dict__["ray_hull"] = dual
-    return fan
+    return Fan.from_maximal_cones(dual.dim, rays, dual.incidence)
 
 
 def is_smooth(f: Fan) -> tuple[bool, Cone | None]:
@@ -186,7 +175,7 @@ def kushnirenko_bound(f: Fan) -> int:
     When the fan is the face fan of that hull (the Fano case) this equals
     the number of maximal cones; for subdivided fans it can be larger.
     """
-    vol = normalized_volume(f.ray_hull)
+    vol = normalized_volume(Polytope.from_points(f.rays))
     assert vol.denominator == 1
     return int(vol)
 

@@ -4,14 +4,16 @@ tests, normalized volume, lattice-point enumeration.
 Everything here is exact, with no floating point: vertices and offsets are
 rationals, and hulls, eliminations and lattice-point scans run on integers.
 Vertices, facets and lattice points are kept in lexicographic order so that
-all outputs are byte-deterministic.
+all outputs are byte-deterministic. A `Polytope` is given its facets at
+construction, computes its vertex-facet incidence once, and `from_points`
+builds one hull per point set.
 """
 
 import itertools
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import ceil, floor, lcm
 
 from . import _exact
@@ -30,65 +32,56 @@ class Facet:
 
 
 class Polytope:
-    """Full-dimensional polytope with exact rational vertices.
+    """Full-dimensional polytope with exact rational vertices and its facets.
 
-    `lattice_tag` records which side of the dual pair the polytope lives on:
-    "M" for moment polytopes, "N" for ray polytopes. Vertices are exactly the
-    extreme points; non-extreme input points are dropped at construction.
+    Vertices and facets are fixed at construction, each in sorted order, and
+    the vertices are exactly the extreme points. `from_points` keeps one hull
+    per point set. The vertex-facet incidence is computed once, on first use,
+    and every face computation reads it.
     """
 
-    def __init__(self, dim: int, vertices, lattice_tag: str = "M", _facets=None):
+    def __init__(self, dim: int, vertices, facets):
         self.dim = dim
         self.vertices: tuple[RatVec, ...] = tuple(sorted(ratvec(v) for v in vertices))
-        self.lattice_tag = lattice_tag
-        if _facets is not None:
-            self.__dict__["facets"] = tuple(sorted(_facets))
+        self.facets: tuple[Facet, ...] = tuple(sorted(facets))
 
     @classmethod
-    def from_points(cls, points, lattice_tag: str = "M") -> "Polytope":
-        """Build the convex hull of `points`, silently dropping non-extreme ones."""
-        pts = sorted(set(ratvec(p) for p in points))
-        if not pts:
-            raise NotFullDimensional("no points given")
-        dim = len(pts[0])
-        facets = convex_hull_facets(pts)
-        vertices = []
-        for p in pts:
-            active = [f.normal for f in facets if dot(p, f.normal) == f.offset]
-            if _exact.rank(active) == dim:
-                vertices.append(p)
-        dropped = len(pts) - len(vertices)
-        if dropped:
-            log.debug("dropped %d non-extreme input point(s)", dropped)
-        return cls(dim, vertices, lattice_tag, _facets=facets)
+    def from_points(cls, points) -> "Polytope":
+        """The convex hull of `points`, silently dropping non-extreme ones; the
+        same object for every listing of the same point set."""
+        return _hull(tuple(sorted(set(ratvec(p) for p in points))))
 
     @cached_property
-    def facets(self) -> tuple[Facet, ...]:
-        return tuple(convex_hull_facets(list(self.vertices)))
-
-    def vertices_on(self, facet: Facet) -> tuple[RatVec, ...]:
-        return tuple(v for v in self.vertices if dot(v, facet.normal) == facet.offset)
-
-    def contains(self, point) -> bool:
-        p = ratvec(point)
-        return all(dot(p, f.normal) >= f.offset for f in self.facets)
+    def incidence(self) -> tuple[frozenset[int], ...]:
+        """For each facet, the indices of the vertices on it."""
+        return tuple(
+            frozenset(i for i, v in enumerate(self.vertices) if dot(v, f.normal) == f.offset)
+            for f in self.facets
+        )
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for v in self.vertices for x in v)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Polytope)
-            and self.dim == other.dim
-            and self.vertices == other.vertices
-            and self.lattice_tag == other.lattice_tag
-        )
+        return isinstance(other, Polytope) and self.dim == other.dim and self.vertices == other.vertices
 
     def __hash__(self):
-        return hash((self.dim, self.vertices, self.lattice_tag))
+        return hash((self.dim, self.vertices))
 
     def __repr__(self):
-        return f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, tag={self.lattice_tag!r})"
+        return f"Polytope(dim={self.dim}, vertices={len(self.vertices)})"
+
+
+@lru_cache(maxsize=None)
+def _hull(pts: tuple[RatVec, ...]) -> Polytope:
+    """Hull of sorted, distinct rational points: a point is a vertex when the
+    normals of the facets through it have full rank."""
+    facets = convex_hull_facets(pts)
+    dim = len(pts[0])
+    vertices = [p for p in pts if _exact.rank([f.normal for f in facets if dot(p, f.normal) == f.offset]) == dim]
+    if len(vertices) < len(pts):
+        log.debug("dropped %d non-extreme input point(s)", len(pts) - len(vertices))
+    return Polytope(dim, vertices, facets)
 
 
 def convex_hull_facets(points) -> list[Facet]:
@@ -144,8 +137,7 @@ def dual_polytope(P: Polytope) -> Polytope:
         prim = _exact.primitive(v)
         scale = next(Fraction(x) / p for x, p in zip(v, prim) if p != 0)
         dual_facets.append(Facet(prim, Fraction(-1) / scale))
-    tag = "N" if P.lattice_tag == "M" else "M"
-    return Polytope(P.dim, dual_vertices, tag, _facets=dual_facets)
+    return Polytope(P.dim, dual_vertices, dual_facets)
 
 
 def is_reflexive(P: Polytope) -> tuple[bool, str | None]:
@@ -210,17 +202,17 @@ def interior_lattice_points(P: Polytope) -> list[IntVec]:
 def _adjacent_vertices(P: Polytope) -> dict[RatVec, list[RatVec]]:
     """Vertex adjacency via facet incidence: v ~ w iff the smallest face
     containing both (P itself when no facet does) has exactly two vertices."""
-    active = {v: frozenset(i for i, f in enumerate(P.facets) if dot(v, f.normal) == f.offset) for v in P.vertices}
+    everything = frozenset(range(len(P.vertices)))
     adj: dict[RatVec, list[RatVec]] = {v: [] for v in P.vertices}
-    for v, w in itertools.combinations(P.vertices, 2):
-        common = active[v] & active[w]
-        on_face = [u for u in P.vertices if common <= active[u]]
-        if len(on_face) == 2:
+    for a, b in itertools.combinations(range(len(P.vertices)), 2):
+        if len(everything.intersection(*(g for g in P.incidence if a in g and b in g))) == 2:
+            v, w = P.vertices[a], P.vertices[b]
             adj[v].append(w)
             adj[w].append(v)
     return adj
 
 
+@lru_cache(maxsize=None)
 def is_delzant(P: Polytope) -> tuple[bool, str | None]:
     """Simple + smooth test: d edges per vertex whose primitive directions
     form a lattice basis."""
@@ -235,7 +227,7 @@ def is_delzant(P: Polytope) -> tuple[bool, str | None]:
     return True, None
 
 
-def _triangulate(P: Polytope, face: frozenset[int], k: int, facet_sets) -> list[tuple[int, ...]]:
+def _triangulate(P: Polytope, face: frozenset[int], k: int) -> list[tuple[int, ...]]:
     """Pulling triangulation of a k-dimensional face of P, given by its vertex
     indices, into simplices of vertex indices. Fans out from the face's first
     vertex over the facets of the face that miss it. Those are the
@@ -245,9 +237,9 @@ def _triangulate(P: Polytope, face: frozenset[int], k: int, facet_sets) -> list[
         return [tuple(sorted(face))]
     apex = min(face)
     simplices = []
-    for sub in {face & g for g in facet_sets}:
+    for sub in {face & g for g in P.incidence}:
         if apex not in sub and len(sub) >= k and affine_rank([P.vertices[i] for i in sub]) == k - 1:
-            simplices += [(apex, *t) for t in _triangulate(P, sub, k - 1, facet_sets)]
+            simplices += [(apex, *t) for t in _triangulate(P, sub, k - 1)]
     return simplices
 
 
@@ -263,12 +255,11 @@ def normalized_volume(P: Polytope, apex=None) -> Fraction:
         apex = tuple(sum(v[i] for v in P.vertices) / n for i in range(d))
     else:
         apex = ratvec(apex)
-    facet_sets = [frozenset(i for i, v in enumerate(P.vertices) if dot(v, f.normal) == f.offset) for f in P.facets]
     total = Fraction(0)
-    for f, face in zip(P.facets, facet_sets):
+    for f, face in zip(P.facets, P.incidence):
         if dot(apex, f.normal) == f.offset:
             continue
-        for tri in _triangulate(P, face, d - 1, facet_sets):
+        for tri in _triangulate(P, face, d - 1):
             total += abs(_exact.det([vsub(P.vertices[i], apex) for i in tri]))
     return total
 
@@ -280,4 +271,4 @@ def polytope_product(P: Polytope, Q: Polytope) -> Polytope:
     zeros_p = (0,) * P.dim
     facets = [Facet(f.normal + zeros_q, f.offset) for f in P.facets]
     facets += [Facet(zeros_p + f.normal, f.offset) for f in Q.facets]
-    return Polytope(P.dim + Q.dim, vertices, P.lattice_tag, _facets=facets)
+    return Polytope(P.dim + Q.dim, vertices, facets)

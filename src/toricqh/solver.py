@@ -104,7 +104,7 @@ def _newton_block(exponents, coeffs, u0, tol, max_iters):
     a separate exponents @ u; a gemm such as u @ exponents.T does not.
     """
     n = len(u0)
-    best_u = np.empty_like(u0)
+    best_u = np.zeros_like(u0)  # rows that never converge are dropped later
     best_res = np.full(n, np.inf)
     polish_left = np.full(n, _POLISH_STEPS)
     rows = np.arange(n)

@@ -27,9 +27,6 @@ class SupportFunction:
         if len(self.values) != len(self.fan.rays):
             raise ValueError("need one value per ray")
 
-    def value(self, ray_index: int) -> Fraction:
-        return self.values[ray_index]
-
     @cached_property
     def _cone_forms(self) -> dict[Cone, RatVec]:
         """Linear form m_sigma per maximal cone, with <m_sigma, n_rho> = F(n_rho)."""
@@ -111,7 +108,7 @@ def moment_polytope(F: SupportFunction) -> Polytope:
     if len(vertices) != len(F.fan.maximal_cones):
         raise NotStrictlyConvex("cone forms are not pairwise distinct")
     facets = [Facet(ray, Fraction(v)) for ray, v in zip(F.fan.rays, F.values)]
-    return Polytope(F.fan.dim, vertices, "M", _facets=facets)
+    return Polytope(F.fan.dim, vertices, facets)
 
 
 def support_from_polytope(P: Polytope) -> tuple[Fan, SupportFunction]:
@@ -121,10 +118,7 @@ def support_from_polytope(P: Polytope) -> tuple[Fan, SupportFunction]:
     if not ok:
         raise NotDelzant(why)
     rays = [f.normal for f in P.facets]
-    maximal = []
-    for v in P.vertices:
-        active = tuple(i for i, f in enumerate(P.facets) if _exact.dot(v, f.normal) == f.offset)
-        maximal.append(active)
+    maximal = [[j for j, face in enumerate(P.incidence) if i in face] for i in range(len(P.vertices))]
     fan = Fan.from_maximal_cones(P.dim, rays, maximal)
     values = tuple(Fraction(f.offset) for f in P.facets)
     return fan, SupportFunction(fan, values)

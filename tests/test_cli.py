@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from toricqh import corpus
+from toricqh import corpus, lattice
 from toricqh.cli import run_cli
 
 
@@ -243,6 +243,20 @@ def test_primal_rectangle_with_the_origin_on_its_boundary(tmp_path, capsys):
     code, out, _ = run(capsys, "presentation", str(path), "--primal", "--json")
     assert code == 0
     assert json.loads(out) == RECTANGLE_PRESENTATION
+
+
+def test_check_primal_walks_the_vertex_adjacency_once(tmp_path, capsys, monkeypatch):
+    moment = lattice.dual_polytope(corpus.entry("u8").ray_polytope())
+    path = tmp_path / "u8_moment.txt"
+    path.write_text(f"4 {len(moment.vertices)}\n" + "".join(" ".join(map(str, v)) + "\n" for v in moment.vertices))
+    lattice.is_delzant.cache_clear()
+    calls = []
+    adjacency = lattice._adjacent_vertices
+    monkeypatch.setattr(lattice, "_adjacent_vertices", lambda P: calls.append(P) or adjacency(P))
+    code, out, _ = run(capsys, "check", str(path), "--primal")
+    assert code == 0
+    assert "delzant: yes" in out and "smooth: yes" in out
+    assert len(calls) == 1
 
 
 def test_presentation_on_a_non_smooth_primal_triangle_is_a_domain_error(tmp_path, capsys):

@@ -122,7 +122,7 @@ def test_bl_points_fan_counts():
 
 def test_file_pipeline_matches_catalog():
     pf = parse_polytope("2 3\n1 0\n0 1\n-1 -1\n")
-    fan = fan_from_reflexive(Polytope.from_points(pf.rows, lattice_tag="N"))
+    fan = fan_from_reflexive(Polytope.from_points(pf.rows))
     direct = corpus.build("cp2")[0]
     assert fan.rays == direct.rays
     assert fan.cones == direct.cones

@@ -44,13 +44,13 @@ def test_u8_fan_shape():
 
 
 def test_fan_from_non_reflexive_rejected():
-    P = Polytope.from_points([(0, 0), (1, 0), (0, 1), (1, 1)], lattice_tag="N")
+    P = Polytope.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
     with pytest.raises(NotReflexive):
         fan_from_reflexive(P)
 
 
 def test_fan_from_non_simplicial_rejected():
-    cube = Polytope.from_points(list(itertools.product((-1, 1), repeat=3)), lattice_tag="N")
+    cube = Polytope.from_points(list(itertools.product((-1, 1), repeat=3)))
     with pytest.raises(NotSimplicial):
         fan_from_reflexive(cube)
 

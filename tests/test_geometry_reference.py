@@ -331,5 +331,5 @@ def test_lattice_point_counts_are_orientation_free(name, data):
     d = len(rows[0])
     perm = data.draw(st.permutations(range(d)))
     signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=d, max_size=d))
-    ray = Polytope.from_points(_signed(rows, perm, signs), lattice_tag="N")
+    ray = Polytope.from_points(_signed(rows, perm, signs))
     assert (len(lattice_points(ray)), len(lattice_points(dual_polytope(ray)))) == COUNTS[name]

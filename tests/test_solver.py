@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import match_complex_sets, match_point_sets, roots_of_unity
 from toricqh import corpus, solver, spectra
+from toricqh.cli import run_cli
 from toricqh.errors import NotCritical, OverCount
 from toricqh.fan import kushnirenko_bound
 from toricqh.potential import Superpotential, Term, build_potential
@@ -303,3 +305,12 @@ def test_report_json_schema():
     assert match_complex_sets(
         [complex(re, im) for re, im in data["critical_values"]], [2, -2], tol=1e-10
     )
+
+
+@pytest.mark.parametrize("name", ["cp5", "cp6"])
+def test_escaped_starts_raise_no_runtime_warning(name, capsys):
+    # escaped rows keep a zero best iterate; an uninitialised one can overflow in exp
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(["solve", name, "--starts", "200", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["found"] == int(name[2:]) + 1
