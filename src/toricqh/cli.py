@@ -69,7 +69,10 @@ def _parse_values(text: str, expected: int, what: str, kind) -> tuple:
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != expected:
         raise DomainError(f"{what}: expected {expected} values, got {len(parts)}")
-    return tuple(kind(p) for p in parts)
+    try:
+        return tuple(kind(p) for p in parts)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{what}: not a list of numbers: {text!r}") from None
 
 
 def _potential(args):
@@ -160,12 +163,15 @@ def _cmd_potential(args) -> int:
 
 def _solve_target(args):
     label, fan, W = _potential(args)
-    cfg = solver.SolverConfig(seed=args.seed, starts=args.starts)
-    return label, W, solver.solve(W, kushnirenko_bound(fan), cfg)
+    try:
+        cfg = solver.SolverConfig(seed=args.seed, starts=args.starts)
+    except ValueError as exc:
+        raise ParseError(f"--starts: {exc}") from None
+    return label, solver.solve(W, kushnirenko_bound(fan), cfg)
 
 
 def _cmd_solve(args) -> int:
-    label, W, report = _solve_target(args)
+    label, report = _solve_target(args)
     if args.json:
         print(solver.report_to_json(report))
         return 0
@@ -190,8 +196,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    label, W, report = _solve_target(args)
-    spectrum = spectra.critical_values(W, report)
+    label, report = _solve_target(args)
+    spectrum = spectra.critical_values(report)
     if args.json:
         print(spectra.to_json(spectrum))
         return 0
@@ -209,7 +215,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_valuations(args) -> int:
-    report = quasimorphism_report(Fraction(args.alpha), Fraction(args.beta))
+    alpha = _parse_values(args.alpha, 1, "--alpha", Fraction)[0]
+    beta = _parse_values(args.beta, 1, "--beta", Fraction)[0]
+    report = quasimorphism_report(alpha, beta)
     sys.stdout.write(report.render())
     return 0
 

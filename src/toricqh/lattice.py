@@ -48,8 +48,13 @@ class Polytope:
     @classmethod
     def from_points(cls, points) -> "Polytope":
         """The convex hull of `points`, silently dropping non-extreme ones; the
-        same object for every listing of the same point set."""
-        return _hull(tuple(sorted(set(ratvec(p) for p in points))))
+        same object for every listing of the same point set, and for the set
+        of its vertices."""
+        pts = tuple(sorted(set(ratvec(p) for p in points)))
+        if pts not in _hulls:
+            P = _hull(pts)
+            _hulls[pts] = _hulls.setdefault(P.vertices, P)
+        return _hulls[pts]
 
     @cached_property
     def incidence(self) -> tuple[frozenset[int], ...]:
@@ -72,7 +77,10 @@ class Polytope:
         return f"Polytope(dim={self.dim}, vertices={len(self.vertices)})"
 
 
-@lru_cache(maxsize=None)
+# sorted distinct points -> their hull, also keyed by the hull's own vertices
+_hulls: dict[tuple[RatVec, ...], Polytope] = {}
+
+
 def _hull(pts: tuple[RatVec, ...]) -> Polytope:
     """Hull of sorted, distinct rational points: a point is a vertex when the
     normals of the facets through it have full rank."""

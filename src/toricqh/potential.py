@@ -1,12 +1,14 @@
 """The Landau-Ginzburg superpotential of a fan with a support function:
-a Laurent polynomial on the complex torus, with evaluation, log-gradient,
-log-Hessian and affine Hessian.
+a Laurent polynomial on the complex torus, with exact evaluation,
+log-gradient and affine Hessian over Q.
 
-Numeric evaluation uses complex floating point. A parallel exact path over
-the rationals is provided for points with rational coordinates; it is what
-turns "residual 0" claims at integer points into certificates.
+The evaluation here is exact at points with rational coordinates; it is what
+turns "residual 0" claims at such points into certificates. The numeric
+evaluation of W at complex points lives in `solver`, one batched kernel in
+logarithmic coordinates.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,93 +46,43 @@ def build_potential(f: Fan, F: SupportFunction, coeffs=None) -> Superpotential:
     if len(coeffs) != len(f.rays):
         raise ValueError("need one coefficient per ray")
     for b in coeffs:
-        if not b > 0:
-            raise NonpositiveCoefficient(f"coefficient {b} is not positive")
+        if not 0 < b < math.inf:
+            raise NonpositiveCoefficient(f"coefficient {b} is not positive and finite")
     terms = tuple(
         Term(ray, float(b), F.values[i]) for i, (ray, b) in enumerate(zip(f.rays, coeffs))
     )
     return Superpotential(f.dim, terms)
 
 
-def _power(x, n: int):
-    """x**n with integer n; inverts once for negative exponents."""
-    if n >= 0:
-        return x ** n
-    return (1 / x) ** (-n)
-
-
-def _monomial_at(exponent: IntVec, p) -> complex:
-    value = p[0] - p[0] + 1  # one of the right type (complex or Fraction)
-    for x, e in zip(p, exponent):
-        if e:
-            value = value * _power(x, e)
-    return value
-
-
-def _as_exact_point(p) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in p)
-
-
-def _term_values(W: Superpotential, p, exact: bool):
-    if exact:
-        p = _as_exact_point(p)
-        return [Fraction(t.coefficient) * _monomial_at(t.exponent, p) for t in W.terms]
-    p = tuple(complex(x) for x in p)
-    return [t.coefficient * _monomial_at(t.exponent, p) for t in W.terms]
-
-
-def _check_torus(p):
+def _term_values(W: Superpotential, p) -> list[Fraction]:
+    """b_rho p^{n_rho} for every term, over Q."""
     if any(x == 0 for x in p):
         raise ValueError("point has a zero coordinate; not on the torus")
+    p = tuple(Fraction(x) for x in p)
+    return [Fraction(t.coefficient) * math.prod(x ** e for x, e in zip(p, t.exponent)) for t in W.terms]
 
 
-def eval(W: Superpotential, p, exact: bool = False):
+def eval(W: Superpotential, p) -> Fraction:
     """sum_rho b_rho p^{n_rho}."""
-    _check_torus(p)
-    return sum(_term_values(W, p, exact))
+    return sum(_term_values(W, p))
 
 
-def log_gradient(W: Superpotential, p, exact: bool = False):
+def log_gradient(W: Superpotential, p) -> tuple[Fraction, ...]:
     """Component i is sum_rho (n_rho)_i b_rho p^{n_rho}: the derivative of
     W(exp(u)) along the i-th logarithmic coordinate."""
-    _check_torus(p)
-    values = _term_values(W, p, exact)
+    values = _term_values(W, p)
     return tuple(
         sum(t.exponent[i] * v for t, v in zip(W.terms, values) if t.exponent[i])
         for i in range(W.dim)
     )
 
 
-def log_hessian(W: Superpotential, p, exact: bool = False):
-    """Entry (i, j) is sum_rho (n_rho)_i (n_rho)_j b_rho p^{n_rho}; symmetric."""
-    _check_torus(p)
-    values = _term_values(W, p, exact)
-    d = W.dim
-    h = [[0 * values[0]] * d for _ in range(d)]
-    for t, v in zip(W.terms, values):
-        e = t.exponent
-        for i in range(d):
-            if not e[i]:
-                continue
-            for j in range(i, d):
-                if e[j]:
-                    h[i][j] += e[i] * e[j] * v
-    for i in range(d):
-        for j in range(i):
-            h[i][j] = h[j][i]
-    return tuple(tuple(row) for row in h)
-
-
-def hessian_affine(W: Superpotential, p, exact: bool = False):
+def hessian_affine(W: Superpotential, p) -> tuple[tuple[Fraction, ...], ...]:
     """Ordinary second partials d^2 W / dx_i dx_j at p."""
-    _check_torus(p)
-    values = _term_values(W, p, exact)
-    if exact:
-        p = _as_exact_point(p)
-    else:
-        p = tuple(complex(x) for x in p)
+    values = _term_values(W, p)
+    p = tuple(Fraction(x) for x in p)
     d = W.dim
-    h = [[0 * values[0]] * d for _ in range(d)]
+    h = [[Fraction(0)] * d for _ in range(d)]
     for t, v in zip(W.terms, values):
         e = t.exponent
         for i in range(d):

@@ -10,10 +10,13 @@ by Hessian rank. The starts run through one batched Newton kernel, a block
 of rows at a time. The solver promises determinism for a fixed seed,
 independent of how the starts are blocked, but not completeness; missing
 roots are reported as an honest deficit.
+
+This module owns the one floating-point evaluation of W, `_terms`: Newton,
+the cluster centres and `verify_point` all read it. `potential` is exact.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -30,23 +33,22 @@ class Verdict(Enum):
     UNDETERMINED = "undetermined"
 
 
+NEWTON_TOL = 1e-12  # log-gradient max-norm that counts as a critical point
+MAX_ITERS = 100
+# samples of one simple point agree to about NEWTON_TOL * |H^-1|, while the
+# catalog's distinct critical points lie at least 0.2 apart
+CLUSTER_TOL = 1e-6
+RANK_TOL = 1e-8  # relative to the largest singular value
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     seed: int = 0
     starts: int | None = None  # default resolves to 200 * expected_count
-    newton_tol: float = 1e-12
-    max_iters: int = 100
-    # samples of one simple point agree to about newton_tol * |H^-1|, while the
-    # catalog's distinct critical points lie at least 0.2 apart
-    cluster_tol: float = 1e-6
-    rank_tol: float = 1e-8  # relative to the largest singular value
 
     def __post_init__(self):
         if self.starts is not None and self.starts < 1:
             raise ValueError("starts must be >= 1")
-        for name in ("newton_tol", "cluster_tol", "rank_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,15 @@ class CriticalPoint:
     hessian_rank: int
     nondegenerate: bool
     cluster_size: int
-    exact: bool = False  # residual and rank certified over the rationals
+    value: complex  # W at the point: a critical value
+    exact: bool = False  # residual, rank and value computed over the rationals
+
+
+def value_key(z: complex) -> tuple[float, float]:
+    """Sort key of a critical value: real, then imaginary part, rounded to
+    1e-9, far above the ~2e-15 evaluation noise and far below the gap between
+    distinct catalog critical values, so the order ignores the last bits."""
+    return (round(z.real, 9), round(z.imag, 9))
 
 
 @dataclass(frozen=True)
@@ -64,7 +74,10 @@ class SolveReport:
     expected_count: int
     points: tuple[CriticalPoint, ...]
     verdict: Verdict
-    critical_values: tuple[complex, ...]
+
+    @property
+    def critical_values(self) -> tuple[complex, ...]:
+        return tuple(sorted((p.value for p in self.points), key=value_key))
 
     @property
     def found_count(self) -> int:
@@ -81,6 +94,22 @@ def _arrays(W: Superpotential):
     return exponents, coeffs
 
 
+def _terms(exponents, coeffs, u):
+    """b_rho x^{n_rho} at each row of log coordinates u, shape (rows, terms);
+    W is the row sum. The stacked matrix-vector products here and in
+    `_gradient` give each row the same bits as a separate exponents @ u; a
+    gemm such as u @ exponents.T does not."""
+    return coeffs * np.exp(np.matmul(exponents, u[..., None])[..., 0])
+
+
+def _gradient(exponents, t):
+    return np.matmul(exponents.T, t[..., None])[..., 0]
+
+
+def _hessian(exponents, t):
+    return np.matmul(exponents.T, t[..., None] * exponents)
+
+
 # Starts per Newton block: large enough to amortise the per-iteration numpy
 # calls, small enough that the (block, terms, dim) Hessian stack stays small.
 _BLOCK = 256
@@ -88,20 +117,19 @@ _POLISH_STEPS = 30
 _ESCAPE = 50.0  # |Re u| beyond this: |x| or 1/|x| past e^50, the start diverged
 
 
-def _newton_block(exponents, coeffs, u0, tol, max_iters):
-    """Newton runs from the rows of u0, all at once; returns (x, residual) as
-    arrays, with residual inf on rows that did not converge.
+def _newton_block(exponents, coeffs, u0):
+    """Newton runs from the rows of u0, all at once; returns (u, residual) as
+    arrays of log coordinates and log-gradient max-norms, with residual inf
+    on rows that did not converge.
 
-    Once a row's residual drops below tol the iteration keeps polishing while
-    it still improves: near a degenerate critical point convergence is only
-    linear, and stopping at the first sub-tolerance iterate would leave
-    samples scattered at the square root of the tolerance. A row stops when
-    it escapes (|Re u| > 50), its residual is not finite, it stops improving
-    or leaves the basin after a sub-tolerance iterate (keeping the best one),
-    its polish steps run out, or its Hessian is singular.
-
-    The stacked matrix-vector products below give each row the same bits as
-    a separate exponents @ u; a gemm such as u @ exponents.T does not.
+    Once a row's residual drops below NEWTON_TOL the iteration keeps
+    polishing while it still improves: near a degenerate critical point
+    convergence is only linear, and stopping at the first sub-tolerance
+    iterate would leave samples scattered at the square root of the
+    tolerance. A row stops when it escapes (|Re u| > 50), its residual is not
+    finite, it stops improving or leaves the basin after a sub-tolerance
+    iterate (keeping the best one), its polish steps run out, or its Hessian
+    is singular.
     """
     n = len(u0)
     best_u = np.zeros_like(u0)  # rows that never converge are dropped later
@@ -109,15 +137,15 @@ def _newton_block(exponents, coeffs, u0, tol, max_iters):
     polish_left = np.full(n, _POLISH_STEPS)
     rows = np.arange(n)
     u = u0
-    for _ in range(max_iters + _POLISH_STEPS):
+    for _ in range(MAX_ITERS + _POLISH_STEPS):
         inside = ~np.any(np.abs(u.real) > _ESCAPE, axis=1)
         rows, u = rows[inside], u[inside]
         if rows.size == 0:
             break
-        t = coeffs * np.exp(np.matmul(exponents, u[..., None])[..., 0])
-        g = np.matmul(exponents.T, t[..., None])[..., 0]
+        t = _terms(exponents, coeffs, u)
+        g = _gradient(exponents, t)
         residual = np.max(np.abs(g), axis=1)
-        below = residual < tol
+        below = residual < NEWTON_TOL
         improved = below & (residual < best_res[rows])
         hit = rows[improved]
         best_u[hit] = u[improved]
@@ -130,7 +158,7 @@ def _newton_block(exponents, coeffs, u0, tol, max_iters):
             | (improved & ((polish_left[rows] <= 0) | (residual == 0.0)))
         )
         rows, u, t, g = rows[~stop], u[~stop], t[~stop], g[~stop]
-        h = np.matmul(exponents.T, t[..., None] * exponents)
+        h = _hessian(exponents, t)
         try:
             step = np.linalg.solve(h, -g[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -144,7 +172,21 @@ def _newton_block(exponents, coeffs, u0, tol, max_iters):
                     solvable[i] = False
             rows, u, step = rows[solvable], u[solvable], step[solvable]
         u = u + step
-    return np.exp(best_u), best_res
+    return best_u, best_res
+
+
+def _numeric_points(exponents, coeffs, points) -> list[CriticalPoint]:
+    """Residual (log-gradient max-norm), log-Hessian rank and value of W at
+    each point, from one stacked evaluation at their log coordinates."""
+    u = np.log(np.array(points, dtype=complex).reshape(len(points), exponents.shape[1]))
+    t = _terms(exponents, coeffs, u)
+    residuals = np.max(np.abs(_gradient(exponents, t)), axis=1)
+    sv = np.linalg.svd(_hessian(exponents, t), compute_uv=False)
+    ranks = np.sum(sv > RANK_TOL * sv[:, :1], axis=1).tolist()
+    return [
+        CriticalPoint(tuple(p), float(r), k, k == len(p), 1, complex(v))
+        for p, r, k, v in zip(points, residuals, ranks, t.sum(axis=1))
+    ]
 
 
 def _coord_key(coords):
@@ -154,7 +196,8 @@ def _coord_key(coords):
 def _merge(clusters, tol):
     """Fold each cluster into the first earlier kept cluster whose centre is
     within relative distance tol in every complex coordinate; a member with
-    a lower residual becomes the centre. Returns the kept clusters in order.
+    a lower residual becomes the centre and brings its numbers along.
+    Returns the kept clusters in order.
     """
     if not clusters:
         return []
@@ -169,20 +212,12 @@ def _merge(clusters, tol):
             target = kept[j]
             target["size"] += cl["size"]
             if cl["residual"] < target["residual"]:
-                target["coords"], target["residual"] = cl["coords"], cl["residual"]
+                target.update({key: v for key, v in cl.items() if key != "size"})
                 centres[j] = c
         else:
             centres[len(kept)] = c
             kept.append(cl)
     return kept
-
-
-def _numeric_rank(matrix_rows, rank_tol) -> int:
-    m = np.array(matrix_rows, dtype=complex)
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0:
-        return 0
-    return int(np.sum(sv > rank_tol * sv[0]))
 
 
 def _rational_point(coords) -> tuple[Fraction, ...] | None:
@@ -214,38 +249,22 @@ def _snap_rational(W, coords, tol) -> tuple[Fraction, ...] | None:
         return None
     if any(abs(float(s) - complex(z).real) > tol * max(1.0, abs(float(s))) for s, z in zip(snapped, coords)):
         return None
-    gradient = potential.log_gradient(W, snapped, exact=True)
-    if any(g != 0 for g in gradient):
+    if any(g != 0 for g in potential.log_gradient(W, snapped)):
         return None
     return snapped
 
 
 def _exact_point(W: Superpotential, rational, cluster_size: int) -> CriticalPoint:
-    gradient = potential.log_gradient(W, rational, exact=True)
-    residual = float(max(abs(g) for g in gradient))
-    hess = potential.hessian_affine(W, rational, exact=True)
-    rank = _exact.rank([list(row) for row in hess])
+    residual = float(max(abs(g) for g in potential.log_gradient(W, rational)))
+    rank = _exact.rank([list(row) for row in potential.hessian_affine(W, rational)])
     return CriticalPoint(
         coords=tuple(complex(float(x), 0.0) for x in rational),
         residual=residual,
         hessian_rank=rank,
         nondegenerate=rank == W.dim,
         cluster_size=cluster_size,
+        value=complex(potential.eval(W, rational)),
         exact=True,
-    )
-
-
-def _numeric_point(W: Superpotential, coords, cfg: SolverConfig, cluster_size: int) -> CriticalPoint:
-    gradient = potential.log_gradient(W, coords)
-    residual = float(max(abs(g) for g in gradient))
-    rank = _numeric_rank(potential.log_hessian(W, coords), cfg.rank_tol)
-    return CriticalPoint(
-        coords=tuple(complex(z) for z in coords),
-        residual=residual,
-        hessian_rank=rank,
-        nondegenerate=rank == W.dim,
-        cluster_size=cluster_size,
-        exact=False,
     )
 
 
@@ -279,33 +298,33 @@ def solve(W: Superpotential, expected_count: int, cfg: SolverConfig = SolverConf
     converged = []
     for lo in range(0, n_starts, _BLOCK):
         u0 = np.array([start(k) for k in range(lo, min(lo + _BLOCK, n_starts))])
-        xs, residuals = _newton_block(exponents, coeffs, u0, cfg.newton_tol, cfg.max_iters)
-        converged += [(tuple(map(complex, x)), float(res)) for x, res in zip(xs, residuals) if np.isfinite(res)]
+        us, residuals = _newton_block(exponents, coeffs, u0)
+        ok = np.isfinite(residuals)
+        converged += [(tuple(map(complex, x)), float(res)) for x, res in zip(np.exp(us[ok]), residuals[ok])]
     converged.sort(key=lambda item: (_coord_key(item[0]), item[1]))
 
-    clusters = _merge([{"coords": coords, "residual": res, "size": 1} for coords, res in converged], cfg.cluster_tol)
+    clusters = _merge([{"coords": coords, "residual": res, "size": 1} for coords, res in converged], CLUSTER_TOL)
+    # Each centre re-checked at its reported coordinates: Newton's own
+    # residual is exactly 0 on rows polished to zero.
+    for cl, point in zip(clusters, _numeric_points(exponents, coeffs, [cl["coords"] for cl in clusters])):
+        cl["point"] = point
 
     # A residual below tol only localizes a critical point of multiplicity m
     # to about tol^(1/m), so samples around a degenerate point scatter far
-    # wider than cluster_tol. Re-merge degenerate clusters at tol^(1/4), which
+    # wider than CLUSTER_TOL. Re-merge degenerate clusters at tol^(1/4), which
     # covers multiplicities up to 4 (u8's degenerate points have 3).
-    wide_tol = max(cfg.cluster_tol, cfg.newton_tol ** 0.25)
-    for cl in clusters:
-        rank = _numeric_rank(potential.log_hessian(W, cl["coords"]), cfg.rank_tol)
-        cl["degenerate"] = rank < W.dim
-    kept = {id(cl) for cl in _merge([cl for cl in clusters if cl["degenerate"]], wide_tol)}
-    merged = [cl for cl in clusters if not cl["degenerate"] or id(cl) in kept]
+    wide_tol = max(CLUSTER_TOL, NEWTON_TOL ** 0.25)
+    kept = {id(cl) for cl in _merge([cl for cl in clusters if not cl["point"].nondegenerate], wide_tol)}
+    merged = [cl for cl in clusters if cl["point"].nondegenerate or id(cl) in kept]
 
     points = []
     for cl in merged:
-        snap_tol = wide_tol if cl["degenerate"] else cfg.cluster_tol
+        snap_tol = CLUSTER_TOL if cl["point"].nondegenerate else wide_tol
         snapped = _snap_rational(W, cl["coords"], snap_tol)
         if snapped is not None:
             points.append(_exact_point(W, snapped, cl["size"]))
-        else:
-            cp = _numeric_point(W, cl["coords"], cfg, cl["size"])
-            if cp.residual < cfg.newton_tol:  # independent re-check after merging
-                points.append(cp)
+        elif cl["point"].residual < NEWTON_TOL:
+            points.append(replace(cl["point"], cluster_size=cl["size"]))
     points.sort(key=lambda p: _coord_key(p.coords))
 
     if len(points) > expected_count:
@@ -313,18 +332,11 @@ def solve(W: Superpotential, expected_count: int, cfg: SolverConfig = SolverConf
             f"found {len(points)} distinct critical points, expected at most {expected_count}; "
             "cluster_tol may be too small or expected_count wrong"
         )
-
-    values = tuple(sorted((complex(potential.eval(W, p.coords)) for p in points), key=lambda z: (z.real, z.imag)))
-    return SolveReport(
-        expected_count=expected_count,
-        points=tuple(points),
-        verdict=_verdict(points, expected_count),
-        critical_values=values,
-    )
+    return SolveReport(expected_count, tuple(points), _verdict(points, expected_count))
 
 
-def verify_point(W: Superpotential, p, cfg: SolverConfig = SolverConfig()) -> CriticalPoint:
-    """Residual and Hessian rank at a given point, no iteration.
+def verify_point(W: Superpotential, p) -> CriticalPoint:
+    """Residual, Hessian rank and value at a given point, no iteration.
 
     Points with rational coordinates go through the exact path, so a residual
     of 0 there is a certificate, not a float comparison.
@@ -333,9 +345,9 @@ def verify_point(W: Superpotential, p, cfg: SolverConfig = SolverConfig()) -> Cr
     if rational is not None:
         point = _exact_point(W, rational, cluster_size=1)
     else:
-        point = _numeric_point(W, tuple(complex(z) for z in p), cfg, cluster_size=1)
-    if point.residual >= cfg.newton_tol:
-        raise NotCritical(f"log-gradient max-norm {point.residual:g} exceeds {cfg.newton_tol:g}")
+        point = _numeric_points(*_arrays(W), [tuple(complex(z) for z in p)])[0]
+    if point.residual >= NEWTON_TOL:
+        raise NotCritical(f"log-gradient max-norm {point.residual:g} exceeds {NEWTON_TOL:g}")
     return point
 
 
@@ -347,7 +359,7 @@ def classify(report: SolveReport) -> tuple[Verdict, str]:
         f"found {report.found_count} of {report.expected_count} expected critical points "
         f"({nondeg} nondegenerate, {degenerate} degenerate)"
     ]
-    verdict = _verdict(report.points, report.expected_count)
+    verdict = report.verdict
     if verdict is Verdict.SEMISIMPLE:
         lines.append("all expected critical points found and nondegenerate: semisimple")
     elif verdict is Verdict.FIELD_SUMMAND:

@@ -3,16 +3,15 @@
 The multiset of critical values of W equals the set of eigenvalues of the
 linear operator "multiplication by q^-1 c1" acting on the degree-zero
 quantum cohomology, so this module doubles as the spectrum of that
-multiplication operator without ever forming its matrix.
+multiplication operator without ever forming its matrix. It reads the
+values that the solver computed once per critical point.
 """
 
 import cmath
 import json
 from dataclasses import dataclass
 
-from . import potential
-from .potential import Superpotential
-from .solver import SolveReport
+from .solver import SolveReport, value_key
 
 
 @dataclass(frozen=True)
@@ -31,18 +30,15 @@ class Spectrum:
         return tuple(e.value for e in self.entries)
 
 
-def critical_values(W: Superpotential, report: SolveReport) -> Spectrum:
+def critical_values(report: SolveReport) -> Spectrum:
     """Spectrum of multiplication by q^-1 c1: the eigenvalues are exactly the
     values of W at its critical points.
 
     Nondegenerate points contribute multiplicity 1; a degenerate point's
     unresolved multiplicity is reported as a lower bound of 1 with a flag.
     """
-    entries = []
-    for p in report.points:
-        value = complex(potential.eval(W, p.coords))
-        entries.append(SpectrumEntry(value, 1, not p.nondegenerate))
-    entries.sort(key=lambda e: (e.value.real, e.value.imag))
+    entries = [SpectrumEntry(p.value, 1, not p.nondegenerate) for p in report.points]
+    entries.sort(key=lambda e: value_key(e.value))
     return Spectrum(tuple(entries))
 
 
@@ -56,7 +52,7 @@ def cp_closed_form(d: int) -> Spectrum:
     for k in range(d + 1):
         zeta = cmath.exp(2j * cmath.pi * k / (d + 1))
         entries.append(SpectrumEntry((d + 1) * zeta, 1, False))
-    entries.sort(key=lambda e: (e.value.real, e.value.imag))
+    entries.sort(key=lambda e: value_key(e.value))
     return Spectrum(tuple(entries))
 
 

@@ -1,6 +1,7 @@
 import cmath
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 
@@ -40,6 +41,16 @@ def match_point_sets(found, expected, tol=1e-8):
         else:
             return False
     return True
+
+
+def kernel(W, u):
+    """Value, log-gradient and log-Hessian of W at one point in log
+    coordinates u, from the solver's batched floating-point kernel."""
+    from toricqh import solver
+
+    exponents, coeffs = solver._arrays(W)
+    t = solver._terms(exponents, coeffs, np.array([u], dtype=complex))
+    return t.sum(axis=1)[0], solver._gradient(exponents, t)[0], solver._hessian(exponents, t)[0]
 
 
 def roots_of_unity(n):

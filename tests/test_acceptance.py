@@ -2,7 +2,6 @@
 line (run with -s to see them). Tolerances are pinned here and nowhere else.
 """
 
-import cmath
 import itertools
 import math
 import random
@@ -10,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import match_complex_sets, match_point_sets
+from conftest import kernel, match_complex_sets, match_point_sets
 from toricqh import corpus, solver
 from toricqh._exact import affine_rank, ratvec
 from toricqh.batyrev import presentation
@@ -24,7 +23,7 @@ from toricqh.lattice import (
     lattice_points,
     normalized_volume,
 )
-from toricqh.potential import build_potential, eval as eval_w, hessian_affine, log_gradient
+from toricqh.potential import build_potential, hessian_affine
 from toricqh.solver import (
     SolverConfig,
     Verdict,
@@ -63,7 +62,7 @@ def test_criterion_02_u8_degenerate_point(u8):
     W = build_potential(fan, F)
     cp = verify_point(W, (-1, -1, -1, 1))
     assert cp.exact and cp.residual == 0.0
-    hess = hessian_affine(W, (-1, -1, -1, 1), exact=True)
+    hess = hessian_affine(W, (-1, -1, -1, 1))
     published = ((-2, 0, 0, -1), (0, -4, 0, -2), (0, 0, -2, 1), (-1, -2, 1, -2))
     assert hess == tuple(tuple(Fraction(x) for x in row) for row in published)
     assert cp.hessian_rank == 3 and not cp.nondegenerate
@@ -137,7 +136,7 @@ def test_criterion_06_cpd_spectrum():
         fan, F = corpus.build(f"cp{d}")
         W = build_potential(fan, F)
         report = solve(W, len(fan.maximal_cones), SolverConfig(seed=0))
-        spec = critical_values(W, report)
+        spec = critical_values(report)
         oracle = cp_closed_form(d)
         assert match_complex_sets(spec.values, oracle.values, tol=COORD_TOL), d
     assert "eigenvalue" in critical_values.__doc__
@@ -258,16 +257,12 @@ def test_criterion_11_invariant_suites(u8, monkeypatch):
             complex(rng.uniform(math.log(0.5), math.log(2)), rng.uniform(0, 2 * math.pi))
             for _ in range(W.dim)
         ]
-        p = tuple(cmath.exp(z) for z in u)
-        grad = log_gradient(W, p)
+        _, grad, _ = kernel(W, u)
         for i in range(W.dim):
             up, um = list(u), list(u)
             up[i] += h
             um[i] -= h
-            fd = (
-                eval_w(W, tuple(cmath.exp(z) for z in up))
-                - eval_w(W, tuple(cmath.exp(z) for z in um))
-            ) / (2 * h)
+            fd = (kernel(W, up)[0] - kernel(W, um)[0]) / (2 * h)
             assert abs(fd - grad[i]) <= 1e-6 * max(1.0, abs(grad[i]))
 
     # solver determinism across batch blocking at a fixed seed

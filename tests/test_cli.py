@@ -265,3 +265,34 @@ def test_presentation_on_a_non_smooth_primal_triangle_is_a_domain_error(tmp_path
     code, _, err = run(capsys, "presentation", str(path), "--primal")
     assert code == 1
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("solve", "cp2", "--starts", "0"), 2),
+        (("solve", "cp2", "--coeffs", "abc,1,1"), 2),
+        (("presentation", "cp2", "--support", "a,b,c"), 2),
+        (("valuations", "--alpha", "x", "--beta", "1"), 2),
+        (("valuations", "--alpha", "1/0", "--beta", "1"), 2),
+        (("solve", "cp2", "--coeffs", "inf,1,1"), 1),
+    ],
+)
+def test_malformed_values_are_errors_not_tracebacks(argv, code, capsys):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert "error" in err and "Traceback" not in err
+
+
+def test_solve_file_with_a_non_extreme_row_builds_one_hull(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cp2_and_origin.txt"
+    path.write_text("2 4\n1 0\n0 1\n-1 -1\n0 0\n")
+    monkeypatch.setattr(lattice, "_hulls", {})
+    calls = []
+    hull = lattice.convex_hull_facets
+    monkeypatch.setattr(lattice, "convex_hull_facets", lambda points: calls.append(points) or hull(points))
+    code, out, _ = run(capsys, "solve", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["found"] == 3
+    assert len(calls) == 1

@@ -5,7 +5,8 @@ GL(d, Z) matrix, a product of elementary unimodular moves, in a random row
 order. `check` must then report what it reports for the entry itself;
 `solve` must find the same points with the same verdict and critical values;
 and `presentation` must give the same relations once its rays are mapped
-back through the matrix.
+back through the matrix. The entry's moment polytope, written the same way,
+must give the same `check --primal` report as the untransformed polytope.
 """
 
 import json
@@ -18,6 +19,7 @@ from conftest import match_complex_sets
 from toricqh import corpus
 from toricqh._exact import solve
 from toricqh.cli import run_cli
+from toricqh.lattice import dual_polytope
 
 SMOOTH_FANO = ("cp1", "cp2", "cp3", "cp4", "cp5", "cp6", "cp1xcp1", "bl1_cp2", "bl2_cp2", "bl3_cp2", "u8")
 MOVE = st.tuples(st.sampled_from(("add", "sub", "swap", "negate")), st.integers(0, 5), st.integers(0, 5))
@@ -40,14 +42,16 @@ def _unimodular(d, moves):
     return M
 
 
-def _write_transformed(path, name, data):
-    rows = corpus.entry(name).dual_vertices
+def _write_rows(path, rows):
+    path.write_text(f"{len(rows[0])} {len(rows)}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    return str(path)
+
+
+def _write_transformed(path, rows, data):
     d = len(rows[0])
     M = _unimodular(d, data.draw(st.lists(MOVE, min_size=1, max_size=6)))
     out = [tuple(sum(m * x for m, x in zip(row, ray)) for row in M) for ray in rows]
-    out = data.draw(st.permutations(out))
-    path.write_text(f"{d} {len(out)}\n" + "".join(" ".join(map(str, r)) + "\n" for r in out))
-    return str(path), M
+    return _write_rows(path, data.draw(st.permutations(out))), M
 
 
 def _run(capsys, *argv):
@@ -59,11 +63,24 @@ def _run(capsys, *argv):
 @settings(max_examples=5, **SETTINGS)
 @given(data=st.data())
 def test_check_is_invariant_under_lattice_automorphisms(name, data, tmp_path, capsys):
-    path, _ = _write_transformed(tmp_path / "rays.txt", name, data)
+    path, _ = _write_transformed(tmp_path / "rays.txt", corpus.entry(name).dual_vertices, data)
     code, out = _run(capsys, "check", path)
     ref_code, ref_out = _run(capsys, "check", name)
     assert code == ref_code == 0
     assert out.splitlines()[0] == f"input: {path}"
+    assert out.splitlines()[1:] == ref_out.splitlines()[1:]
+
+
+@pytest.mark.parametrize("name", SMOOTH_FANO)
+@settings(max_examples=3, **SETTINGS)
+@given(data=st.data())
+def test_check_primal_is_invariant_under_lattice_automorphisms(name, data, tmp_path, capsys):
+    moment = [tuple(int(x) for x in v) for v in dual_polytope(corpus.entry(name).ray_polytope()).vertices]
+    path, _ = _write_transformed(tmp_path / "moment.txt", moment, data)
+    code, out = _run(capsys, "check", path, "--primal")
+    ref_code, ref_out = _run(capsys, "check", _write_rows(tmp_path / "reference.txt", moment), "--primal")
+    assert code == ref_code == 0
+    assert "delzant: yes" in out and "smooth: yes" in out
     assert out.splitlines()[1:] == ref_out.splitlines()[1:]
 
 
@@ -76,7 +93,7 @@ def _solve_summary(out):
 @settings(max_examples=5, **SETTINGS)
 @given(data=st.data())
 def test_solve_is_invariant_under_lattice_automorphisms(name, data, tmp_path, capsys):
-    path, _ = _write_transformed(tmp_path / "rays.txt", name, data)
+    path, _ = _write_transformed(tmp_path / "rays.txt", corpus.entry(name).dual_vertices, data)
     code, out = _run(capsys, "solve", path, "--json")
     ref_code, ref_out = _run(capsys, "solve", name, "--json")
     assert code == ref_code == 0
@@ -102,7 +119,7 @@ def _relations(presentation, rays):
 @settings(max_examples=5, **SETTINGS)
 @given(data=st.data())
 def test_presentation_is_invariant_under_lattice_automorphisms(name, data, tmp_path, capsys):
-    path, M = _write_transformed(tmp_path / "rays.txt", name, data)
+    path, M = _write_transformed(tmp_path / "rays.txt", corpus.entry(name).dual_vertices, data)
     code, out = _run(capsys, "presentation", path, "--json")
     ref_code, ref_out = _run(capsys, "presentation", name, "--json")
     assert code == ref_code == 0

@@ -6,14 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from toricqh import corpus
+from conftest import kernel
+from toricqh import corpus, solver
 from toricqh.errors import NonpositiveCoefficient
 from toricqh.potential import (
     build_potential,
     eval as eval_w,
     hessian_affine,
     log_gradient,
-    log_hessian,
     render,
 )
 from toricqh.support import SupportFunction
@@ -69,9 +69,9 @@ def test_bl_points_monomials():
 
 def test_eval_examples():
     assert eval_w(build("cp2"), (1, 1)) == pytest.approx(3)
-    assert eval_w(build("u8"), U8_POINT, exact=True) == Fraction(-6)
-    omega = cmath.exp(2j * cmath.pi / 3)
-    assert abs(eval_w(build("cp2"), (omega, omega)) - 3 * omega) < 1e-14
+    assert eval_w(build("u8"), U8_POINT) == Fraction(-6)
+    log_omega = 2j * cmath.pi / 3
+    assert abs(kernel(build("cp2"), (log_omega, log_omega))[0] - 3 * cmath.exp(log_omega)) < 1e-14
 
 
 def test_eval_rejects_zero_coordinate():
@@ -80,27 +80,26 @@ def test_eval_rejects_zero_coordinate():
 
 
 def test_log_gradient_cp2_root_of_unity():
-    omega = cmath.exp(2j * cmath.pi / 3)
-    g = log_gradient(build("cp2"), (omega, omega))
+    log_omega = 2j * cmath.pi / 3
+    _, g, _ = kernel(build("cp2"), (log_omega, log_omega))
     assert max(abs(z) for z in g) < 1e-14
 
 
 def test_log_gradient_u8_exact_zero():
-    g = log_gradient(build("u8"), U8_POINT, exact=True)
+    g = log_gradient(build("u8"), U8_POINT)
     assert g == (Fraction(0),) * 4
-    g_float = log_gradient(build("u8"), U8_POINT)
+    _, g_float, _ = kernel(build("u8"), np.log(np.array(U8_POINT, dtype=complex)))
     assert max(abs(z) for z in g_float) < 1e-12
 
 
 def test_log_hessian_symmetry_and_cp2_value():
-    W = build("cp2")
-    h = log_hessian(W, (1, 1))
-    assert h == tuple(map(tuple, zip(*h)))
-    assert h == ((2, 1), (1, 2))
+    _, _, h = kernel(build("cp2"), (0, 0))
+    assert np.array_equal(h, h.T)
+    assert np.array_equal(h, [[2, 1], [1, 2]])
 
 
 def test_affine_hessian_u8_matches_published_matrix():
-    h = hessian_affine(build("u8"), U8_POINT, exact=True)
+    h = hessian_affine(build("u8"), U8_POINT)
     assert h == tuple(tuple(Fraction(x) for x in row) for row in U8_HESSIAN)
 
 
@@ -108,19 +107,20 @@ def test_hessian_rank_agreement_at_critical_point():
     from toricqh._exact import rank
 
     W = build("u8")
-    affine = hessian_affine(W, U8_POINT, exact=True)
-    logh = log_hessian(W, U8_POINT, exact=True)
-    assert rank([list(r) for r in affine]) == rank([list(r) for r in logh]) == 3
+    affine = hessian_affine(W, U8_POINT)
+    point = solver._numeric_points(*solver._arrays(W), [U8_POINT])[0]
+    assert point.residual < solver.NEWTON_TOL
+    assert rank([list(r) for r in affine]) == point.hessian_rank == 3
 
 
 def test_log_hessian_is_affine_conjugated_by_coordinates():
-    # at a critical point H_log = D H_aff D with D = diag(p)
+    # H_log = D H_aff D + diag(log-gradient) with D = diag(p)
     W = build("cp2")
     p = (1.0, 1.0)
-    logh = np.array(log_hessian(W, p))
-    aff = np.array(hessian_affine(W, p))
+    _, _, logh = kernel(W, np.log(p))
+    aff = np.array(hessian_affine(W, p), dtype=float)
     D = np.diag(p)
-    grad = np.array(log_gradient(W, p))
+    grad = np.array(log_gradient(W, p), dtype=float)
     assert np.allclose(logh, D @ aff @ D + np.diag(grad))
 
 
@@ -134,17 +134,13 @@ def test_gradient_matches_finite_differences(name):
             complex(rng.uniform(math.log(0.5), math.log(2)), rng.uniform(0, 2 * math.pi))
             for _ in range(W.dim)
         ]
-        p = tuple(cmath.exp(z) for z in u)
-        grad = log_gradient(W, p)
+        _, grad, _ = kernel(W, u)
         for i in range(W.dim):
             up = list(u)
             up[i] += h
             um = list(u)
             um[i] -= h
-            fd = (
-                eval_w(W, tuple(cmath.exp(z) for z in up))
-                - eval_w(W, tuple(cmath.exp(z) for z in um))
-            ) / (2 * h)
+            fd = (kernel(W, up)[0] - kernel(W, um)[0]) / (2 * h)
             assert abs(fd - grad[i]) <= 1e-6 * max(1.0, abs(grad[i]))
 
 
@@ -158,30 +154,31 @@ def test_log_hessian_matches_finite_differences(name):
             complex(rng.uniform(math.log(0.5), math.log(2)), rng.uniform(0, 2 * math.pi))
             for _ in range(W.dim)
         ]
-        hess = log_hessian(W, tuple(cmath.exp(z) for z in u))
+        _, _, hess = kernel(W, u)
         for j in range(W.dim):
             up = list(u)
             up[j] += h
             um = list(u)
             um[j] -= h
-            gp = log_gradient(W, tuple(cmath.exp(z) for z in up))
-            gm = log_gradient(W, tuple(cmath.exp(z) for z in um))
+            gp = kernel(W, up)[1]
+            gm = kernel(W, um)[1]
             for i in range(W.dim):
                 fd = (gp[i] - gm[i]) / (2 * h)
                 assert abs(fd - hess[i][j]) <= 1e-6 * max(1.0, abs(hess[i][j]))
 
 
 def test_affine_hessian_matches_finite_differences():
-    # difference the analytic first partials dW/dx_i = log_gradient_i / x_i
+    # difference the analytic first partials dW/dx_i = log_gradient_i / x_i,
+    # exactly, at rational points
     W = build("cp2")
     rng = random.Random(5)
-    h = 1e-6
+    h = Fraction(1, 10**6)
 
     def affine_grad(q, i):
         return log_gradient(W, tuple(q))[i] / q[i]
 
     for _ in range(20):
-        p = [complex(rng.uniform(0.5, 2), rng.uniform(-0.5, 0.5)) for _ in range(W.dim)]
+        p = [Fraction(rng.uniform(0.5, 2)).limit_denominator(1000) for _ in range(W.dim)]
         hess = hessian_affine(W, tuple(p))
         for j in range(W.dim):
             pp, pm = list(p), list(p)
@@ -199,7 +196,7 @@ def test_rescaled_evaluation_is_recomputed_exactly():
         p = tuple(complex(rng.uniform(0.5, 2), rng.uniform(-1, 1)) for _ in range(2))
         t = rng.uniform(0.5, 2)
         scaled = (t * p[0], p[1])
-        direct = eval_w(W, scaled)
+        direct = kernel(W, np.log(scaled))[0]
         by_terms = sum(
             term.coefficient * (t ** term.exponent[0]) * (p[0] ** term.exponent[0]) * (p[1] ** term.exponent[1])
             for term in W.terms

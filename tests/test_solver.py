@@ -1,4 +1,7 @@
+import dataclasses
+import itertools
 import json
+import math
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -78,18 +81,18 @@ def test_verify_point_rejects_non_critical():
 
 def test_classify_rules():
     def pt(nondeg, rank=2):
-        return CriticalPoint((1 + 0j, 1 + 0j), 0.0, rank if not nondeg else 2, nondeg, 1)
+        return CriticalPoint((1 + 0j, 1 + 0j), 0.0, rank if not nondeg else 2, nondeg, 1, 3 + 0j)
 
-    semis = SolveReport(3, tuple(pt(True) for _ in range(3)), Verdict.SEMISIMPLE, ())
+    semis = SolveReport(3, tuple(pt(True) for _ in range(3)), Verdict.SEMISIMPLE)
     assert classify(semis)[0] is Verdict.SEMISIMPLE
 
     mixed_points = tuple([pt(True) for _ in range(21)] + [pt(False, rank=1)])
-    mixed = SolveReport(24, mixed_points, Verdict.FIELD_SUMMAND, ())
+    mixed = SolveReport(24, mixed_points, Verdict.FIELD_SUMMAND)
     verdict, why = classify(mixed)
     assert verdict is Verdict.FIELD_SUMMAND
     assert "multiplicities" in why
 
-    empty = SolveReport(3, (), Verdict.UNDETERMINED, ())
+    empty = SolveReport(3, (), Verdict.UNDETERMINED)
     assert classify(empty)[0] is Verdict.UNDETERMINED
 
 
@@ -127,13 +130,32 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "solver_golden.json").read
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: f"{c['target']}-seed{c['seed']}-starts{c['starts']}")
 def test_solve_matches_golden_reports(case):
-    """Reports recorded from the scalar per-start solver; the batched solver
-    must reproduce them byte for byte."""
+    """Reports recorded when the batched kernel became the one numeric
+    evaluation of W (coordinates, ranks and verdicts as recorded from the
+    scalar per-start solver before it); the solver must reproduce them byte
+    for byte."""
     fan, F = corpus.build(case["target"])
     W = build_potential(fan, F)
     report = solve(W, case["expected"], SolverConfig(seed=case["seed"], starts=case["starts"]))
     assert report_to_json(report) == case["solve_json"]
-    assert spectra.to_json(spectra.critical_values(W, report)) == case["spectrum_json"]
+    assert spectra.to_json(spectra.critical_values(report)) == case["spectrum_json"]
+
+
+def test_critical_value_order_ignores_the_last_bits():
+    # cp2's values -1.5 +- 2.598i have real parts one ulp apart
+    W, expected = build("cp2")
+    report = solve(W, expected, SolverConfig(seed=0))
+    order = [z.imag for z in report.critical_values]
+    assert [(round(z.real, 3), round(z.imag, 3)) for z in report.critical_values] == [
+        (-1.5, -2.598), (-1.5, 2.598), (3.0, 0.0)
+    ]
+    for directions in itertools.product((-math.inf, math.inf), repeat=len(report.points)):
+        nudged = dataclasses.replace(report, points=tuple(
+            dataclasses.replace(p, value=complex(math.nextafter(p.value.real, to), p.value.imag))
+            for p, to in zip(report.points, directions)
+        ))
+        assert [z.imag for z in nudged.critical_values] == order
+        assert [e.value.imag for e in spectra.critical_values(nudged).entries] == order
 
 
 def _reference_newton_run(exponents, coeffs, u0, tol, max_iters):
@@ -168,7 +190,7 @@ def _reference_newton_run(exponents, coeffs, u0, tol, max_iters):
         u = u + step
     if best is None:
         return None
-    return np.exp(best[0]), best[1]
+    return best
 
 
 def _reference_merge(samples, tol):
@@ -212,16 +234,15 @@ def _seeded_starts(dim, n, seed=3):
 
 def _assert_kernel_matches_reference(W, u0):
     exponents, coeffs = solver._arrays(W)
-    cfg = SolverConfig()
-    xs, residuals = solver._newton_block(exponents, coeffs, u0, cfg.newton_tol, cfg.max_iters)
+    us, residuals = solver._newton_block(exponents, coeffs, u0)
     outcomes = []
-    for row, x, residual in zip(u0, xs, residuals):
-        ref = _reference_newton_run(exponents, coeffs, row, cfg.newton_tol, cfg.max_iters)
+    for row, u, residual in zip(u0, us, residuals):
+        ref = _reference_newton_run(exponents, coeffs, row, solver.NEWTON_TOL, solver.MAX_ITERS)
         if ref is None:
             assert residual == np.inf
         else:
             assert residual == ref[1]
-            assert np.array_equal(x, ref[0])
+            assert np.array_equal(u, ref[0])
         outcomes.append(ref is not None)
     return outcomes
 
@@ -261,9 +282,8 @@ def test_seed_independence_of_point_set():
 def test_residual_soundness():
     W, expected = build("bl3_cp2")
     report = solve(W, expected, SolverConfig(seed=0, starts=600))
-    cfg = SolverConfig()
     for p in report.points:
-        assert p.residual < cfg.newton_tol
+        assert p.residual < solver.NEWTON_TOL
 
 
 def test_u8_solve_small_budget(u8):

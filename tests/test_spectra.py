@@ -14,7 +14,7 @@ def spectrum_of(name, seed=0, starts=None):
     fan, F = corpus.build(name)
     W = build_potential(fan, F)
     report = solve(W, len(fan.maximal_cones), SolverConfig(seed=seed, starts=starts))
-    return W, report, critical_values(W, report)
+    return W, report, critical_values(report)
 
 
 def test_cp_closed_form_small():
@@ -56,8 +56,8 @@ def test_u8_degenerate_value_flagged(u8):
     fan, F = u8
     W = build_potential(fan, F)
     point = verify_point(W, (-1, -1, -1, 1))
-    report = SolveReport(24, (point,), Verdict.UNDETERMINED, (complex(-6),))
-    spec = critical_values(W, report)
+    report = SolveReport(24, (point,), Verdict.UNDETERMINED)
+    spec = critical_values(report)
     assert len(spec.entries) == 1
     entry = spec.entries[0]
     assert entry.degenerate
