@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import batyrev, corpus, potential, solver, spectra, support
+from . import batyrev, corpus, potential, support
 from .errors import DomainError, ParseError
 from .fan import fan_from_reflexive, is_complete, is_smooth, kushnirenko_bound, primitive_collections
 from .lattice import Polytope, dual_polytope, is_delzant, is_reflexive, lattice_points
@@ -26,6 +26,14 @@ def _fmt_complex(z: complex) -> str:
     if z.imag == 0:
         return _fmt(z.real)
     return f"{_fmt(z.real)}{z.imag:+.10g}i"
+
+
+def _fmt_value(z: complex) -> str:
+    """A critical value, printed as real when the solver's sort key rounds its
+    imaginary part to 0: that part is evaluation noise."""
+    from .solver import value_key
+
+    return _fmt_complex(complex(z.real) if value_key(z)[1] == 0 else z)
 
 
 def _fmt_point(coords) -> str:
@@ -68,7 +76,7 @@ def _target(args):
 def _parse_values(text: str, expected: int, what: str, kind) -> tuple:
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != expected:
-        raise DomainError(f"{what}: expected {expected} values, got {len(parts)}")
+        raise ParseError(f"{what}: expected {expected} values, got {len(parts)}")
     try:
         return tuple(kind(p) for p in parts)
     except (ValueError, ZeroDivisionError):
@@ -162,6 +170,8 @@ def _cmd_potential(args) -> int:
 
 
 def _solve_target(args):
+    from . import solver  # numpy loads only for solve and spectrum
+
     label, fan, W = _potential(args)
     try:
         cfg = solver.SolverConfig(seed=args.seed, starts=args.starts)
@@ -171,6 +181,8 @@ def _solve_target(args):
 
 
 def _cmd_solve(args) -> int:
+    from . import solver
+
     label, report = _solve_target(args)
     if args.json:
         print(solver.report_to_json(report))
@@ -191,11 +203,13 @@ def _cmd_solve(args) -> int:
     print(f"justification: {why}")
     print("critical values:")
     for z in report.critical_values:
-        print(f"  {_fmt_complex(z)}")
+        print(f"  {_fmt_value(z)}")
     return 0
 
 
 def _cmd_spectrum(args) -> int:
+    from . import spectra
+
     label, report = _solve_target(args)
     spectrum = spectra.critical_values(report)
     if args.json:
@@ -205,7 +219,7 @@ def _cmd_spectrum(args) -> int:
     print("eigenvalues of multiplication by q^-1 c1 (critical values of W):")
     for e in spectrum.entries:
         flag = "  [degenerate, multiplicity lower bound 1]" if e.degenerate else ""
-        print(f"  {_fmt_complex(e.value)}{flag}")
+        print(f"  {_fmt_value(e.value)}{flag}")
     if report.deficit:
         print(
             f"note: deficit {report.deficit} of {report.expected_count} "

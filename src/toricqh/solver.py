@@ -330,7 +330,7 @@ def solve(W: Superpotential, expected_count: int, cfg: SolverConfig = SolverConf
     if len(points) > expected_count:
         raise OverCount(
             f"found {len(points)} distinct critical points, expected at most {expected_count}; "
-            "cluster_tol may be too small or expected_count wrong"
+            "the critical locus may not be isolated, or expected_count is wrong"
         )
     return SolveReport(expected_count, tuple(points), _verdict(points, expected_count))
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -276,6 +277,9 @@ def test_presentation_on_a_non_smooth_primal_triangle_is_a_domain_error(tmp_path
         (("valuations", "--alpha", "x", "--beta", "1"), 2),
         (("valuations", "--alpha", "1/0", "--beta", "1"), 2),
         (("solve", "cp2", "--coeffs", "inf,1,1"), 1),
+        (("solve", "cp2", "--coeffs", "1,1"), 2),
+        (("presentation", "cp2", "--support", "1,2"), 2),
+        (("valuations", "--alpha", "1 2", "--beta", "1"), 2),
     ],
 )
 def test_malformed_values_are_errors_not_tracebacks(argv, code, capsys):
@@ -283,6 +287,62 @@ def test_malformed_values_are_errors_not_tracebacks(argv, code, capsys):
     assert got == code
     assert out == ""
     assert "error" in err and "Traceback" not in err
+
+
+def test_a_non_isolated_critical_locus_names_no_setting(capsys):
+    # bl_points_3's W has curves of critical points (ROADMAP item 4)
+    code, out, err = run(capsys, "solve", "bl_points_3")
+    assert code == 1
+    assert out == ""
+    assert "not be isolated" in err and "cluster_tol" not in err
+
+
+def test_real_critical_values_print_without_noise(capsys):
+    argv = ("u8", "--seed", "1", "--starts", "4800")
+    code, out, _ = run(capsys, "solve", *argv)
+    assert code == 0
+    values = out.split("critical values:\n")[1].split()
+    code, out, _ = run(capsys, "spectrum", *argv)
+    assert code == 0
+    spectrum = [line.split()[0] for line in out.splitlines()[2:] if line.startswith("  ")]
+    assert spectrum == values and len(values) == 18
+    assert not [v for v in values if re.search(r"e-\d+i$", v)]
+    assert {"-6", "-3.763297829", "-2", "2", "5.327276155", "10"} <= set(values)
+
+
+NUMPY_PROBE = """
+import contextlib, io, sys
+import toricqh
+from toricqh.cli import run_cli
+assert "numpy" not in sys.modules, "import toricqh"
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli(argv.split()) == 0, argv
+    assert ("numpy" in sys.modules) == (argv.split()[0] == "solve"), argv
+"""
+
+
+def test_only_solve_and_spectrum_load_numpy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    commands = ["catalog", "check cp2", "fan bl1_cp2", "presentation u8 --json", "potential u8",
+                "valuations --alpha 2 --beta 1", "solve cp2 --json"]
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *commands],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_solver_names_resolve_lazily_from_the_package():
+    import toricqh
+    from toricqh import solver, spectra
+
+    for module, names in ((solver, ("CriticalPoint", "SolveReport", "SolverConfig", "Verdict",
+                                    "classify", "solve", "verify_point")),
+                          (spectra, ("Spectrum", "cp_closed_form", "critical_values"))):
+        for name in names:
+            assert getattr(toricqh, name) is getattr(module, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        toricqh.no_such_name
 
 
 def test_solve_file_with_a_non_extreme_row_builds_one_hull(tmp_path, capsys, monkeypatch):
