@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from ._exact import IntVec
 from .errors import NotComplete
-from .fan import Fan, minimal_cone_containing, primitive_collections
+from .fan import Fan, is_complete, minimal_cone_containing, primitive_collections
 from .support import SupportFunction
 
 
@@ -57,7 +57,7 @@ class Presentation:
 
 def linear_ideal(f: Fan) -> list[LinearRelation]:
     """One relation per standard basis character of the dual lattice."""
-    if not f.complete:
+    if not is_complete(f):
         raise NotComplete("the linear ideal is formed for complete fans")
     relations = []
     for i in range(f.dim):
@@ -73,18 +73,18 @@ def quantum_sr_generators(f: Fan, F: SupportFunction) -> list[QuantumRelation]:
     for collection in primitive_collections(f):
         total = tuple(sum(f.rays[i][k] for i in collection) for k in range(f.dim))
         cone, coeffs = minimal_cone_containing(f, total)
-        if set(collection) & set(cone.ray_indices):
+        if set(collection) & set(cone):
             raise AssertionError("minimal cone meets its primitive collection")
         check = tuple(
             sum(mult * f.rays[i][k] for i, mult in coeffs.items()) for k in range(f.dim)
         )
         if check != total:
             raise AssertionError("cone coordinates do not reproduce the ray sum")
-        involved = sorted(set(collection) | set(cone.ray_indices))
+        involved = sorted(set(collection) | set(cone))
         relations.append(
             QuantumRelation(
                 collection=tuple(collection),
-                sigma=cone.ray_indices,
+                sigma=cone,
                 a=tuple(sorted(coeffs.items())),
                 s_values=tuple((i, F.values[i]) for i in involved),
             )

@@ -29,11 +29,12 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _fmt_value(z: complex) -> str:
-    """A critical value, printed as real when the solver's sort key rounds its
-    imaginary part to 0: that part is evaluation noise."""
+    """A critical value with each part that the solver's sort key rounds to 0
+    printed as 0: that part is evaluation noise."""
     from .solver import value_key
 
-    return _fmt_complex(complex(z.real) if value_key(z)[1] == 0 else z)
+    real, imag = value_key(z)
+    return _fmt_complex(complex(z.real if real else 0.0, z.imag if imag else 0.0))
 
 
 def _fmt_point(coords) -> str:
@@ -120,7 +121,7 @@ def _cmd_check(args) -> int:
     convex, _ = support.is_strictly_convex(F)
     print(
         f"fan: {len(fan.rays)} rays, {len(fan.maximal_cones)} maximal cones, "
-        f"smooth: {'yes' if smooth else f'no (cone {offender.ray_indices})'}, "
+        f"smooth: {'yes' if smooth else f'no (cone {offender})'}, "
         f"complete: {'yes' if is_complete(fan) else 'no'}, "
         f"monotone class ample: {'yes' if convex else 'no'}"
     )
@@ -151,7 +152,7 @@ def _cmd_presentation(args) -> int:
         if not ok:
             cone, ray = witness
             raise DomainError(
-                f"support values are not strictly convex (cone {cone.ray_indices}, ray {ray})"
+                f"support values are not strictly convex (cone {cone}, ray {ray})"
             )
     pres = batyrev.presentation(fan, F)
     if args.json:

@@ -121,7 +121,7 @@ def bl_points_fan(d: int) -> Fan:
         others = [i for i in range(d + 1) if i != j]
         for rho in others:
             maximal.append(tuple(sorted([len(base) + j] + [i for i in others if i != rho])))
-    return Fan.from_maximal_cones(d, rays, maximal)
+    return Fan(d, rays, maximal)
 
 
 U8_VERTICES: tuple[IntVec, ...] = (

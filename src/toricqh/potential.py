@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from ._exact import IntVec
 from .errors import NonpositiveCoefficient, NotComplete
-from .fan import Fan
+from .fan import Fan, is_complete
 from .support import SupportFunction
 
 
@@ -39,7 +39,7 @@ class Superpotential:
 def build_potential(f: Fan, F: SupportFunction, coeffs=None) -> Superpotential:
     """One term per ray: numeric coefficient b_rho (default 1, the s = 1
     specialization), exponent n_rho, with F(n_rho) kept for display."""
-    if not f.complete:
+    if not is_complete(f):
         raise NotComplete("superpotentials are built on complete fans")
     if coeffs is None:
         coeffs = [1.0] * len(f.rays)

@@ -14,7 +14,7 @@ from functools import cached_property
 from . import _exact
 from ._exact import RatVec
 from .errors import NotComplete, NotDelzant, NotStrictlyConvex
-from .fan import Cone, Fan
+from .fan import Cone, Fan, is_complete
 from .lattice import Facet, Polytope, is_delzant
 
 
@@ -28,17 +28,12 @@ class SupportFunction:
             raise ValueError("need one value per ray")
 
     @cached_property
-    def _cone_forms(self) -> dict[Cone, RatVec]:
+    def cone_forms(self) -> dict[Cone, RatVec]:
         """Linear form m_sigma per maximal cone, with <m_sigma, n_rho> = F(n_rho)."""
-        forms = {}
-        for cone in self.fan.maximal_cones:
-            rows = self.fan.ray_matrix(cone)
-            rhs = [self.values[i] for i in cone.ray_indices]
-            forms[cone] = _exact.solve(rows, rhs)
-        return forms
-
-    def cone_form(self, cone: Cone) -> RatVec:
-        return self._cone_forms[cone]
+        return {
+            cone: _exact.solve(self.fan.ray_matrix(cone), [self.values[i] for i in cone])
+            for cone in self.fan.maximal_cones
+        }
 
 
 def monotone_support(f: Fan) -> SupportFunction:
@@ -54,11 +49,11 @@ def is_strictly_convex(F: SupportFunction) -> tuple[bool, tuple[Cone, int] | Non
     """Exact witness test: for each maximal cone sigma and ray rho not in it,
     require <m_sigma, n_rho> > F(n_rho)."""
     fan = F.fan
-    if not fan.complete:
+    if not is_complete(fan):
         raise NotComplete("strict convexity is checked on complete fans")
     for cone in fan.maximal_cones:
-        form = F.cone_form(cone)
-        members = set(cone.ray_indices)
+        form = F.cone_forms[cone]
+        members = set(cone)
         for i, ray in enumerate(fan.rays):
             if i in members:
                 continue
@@ -79,10 +74,9 @@ def convexity_margin(F: SupportFunction) -> Fraction:
     fan = F.fan
     margin = None
     for cone in fan.maximal_cones:
-        form = F.cone_form(cone)
-        rows = fan.ray_matrix(cone)
-        matrix = [[rows[j][i] for j in range(len(rows))] for i in range(fan.dim)]
-        members = set(cone.ray_indices)
+        form = F.cone_forms[cone]
+        matrix = list(zip(*fan.ray_matrix(cone)))
+        members = set(cone)
         for i, ray in enumerate(fan.rays):
             if i in members:
                 continue
@@ -103,8 +97,8 @@ def moment_polytope(F: SupportFunction) -> Polytope:
     ok, witness = is_strictly_convex(F)
     if not ok:
         cone, ray = witness
-        raise NotStrictlyConvex(f"cone {cone.ray_indices} and ray {ray} violate strict convexity")
-    vertices = set(F.cone_form(c) for c in F.fan.maximal_cones)
+        raise NotStrictlyConvex(f"cone {cone} and ray {ray} violate strict convexity")
+    vertices = set(F.cone_forms.values())
     if len(vertices) != len(F.fan.maximal_cones):
         raise NotStrictlyConvex("cone forms are not pairwise distinct")
     facets = [Facet(ray, Fraction(v)) for ray, v in zip(F.fan.rays, F.values)]
@@ -119,6 +113,6 @@ def support_from_polytope(P: Polytope) -> tuple[Fan, SupportFunction]:
         raise NotDelzant(why)
     rays = [f.normal for f in P.facets]
     maximal = [[j for j, face in enumerate(P.incidence) if i in face] for i in range(len(P.vertices))]
-    fan = Fan.from_maximal_cones(P.dim, rays, maximal)
+    fan = Fan(P.dim, rays, maximal)
     values = tuple(Fraction(f.offset) for f in P.facets)
     return fan, SupportFunction(fan, values)

@@ -224,7 +224,7 @@ def test_criterion_11_invariant_suites(u8, monkeypatch):
     # fan axioms and primitive-collection definition for every catalog entry
     for e in corpus.catalog():
         fan, _ = corpus.build(e.name)
-        stored = {frozenset(c.ray_indices) for cones in fan.cones.values() for c in cones}
+        stored = {frozenset(c) for cones in fan.cones.values() for c in cones}
         for s in stored:
             for sub in itertools.chain.from_iterable(
                 itertools.combinations(sorted(s), k) for k in range(len(s))

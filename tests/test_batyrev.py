@@ -16,7 +16,7 @@ from toricqh.support import SupportFunction
 
 
 def paper_order_fan(rays, maximal):
-    return Fan.from_maximal_cones(len(rays[0]), rays, maximal)
+    return Fan(len(rays[0]), rays, maximal)
 
 
 def test_linear_ideal_cp1():

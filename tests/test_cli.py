@@ -308,6 +308,10 @@ def test_real_critical_values_print_without_noise(capsys):
     assert spectrum == values and len(values) == 18
     assert not [v for v in values if re.search(r"e-\d+i$", v)]
     assert {"-6", "-3.763297829", "-2", "2", "5.327276155", "10"} <= set(values)
+    for command in ("solve", "spectrum"):
+        code, out, _ = run(capsys, command, "cp3", "--starts", "200")
+        assert code == 0
+        assert out.rsplit(":\n", 1)[1].split() == ["-4", "0-4i", "0+4i", "4"], command
 
 
 NUMPY_PROBE = """

@@ -106,9 +106,9 @@ def test_bl_points_2_equals_bl3_cp2():
     assert sorted(sub_fan.rays) == sorted(hex_fan.rays)
     relabel = {i: hex_fan.rays.index(r) for i, r in enumerate(sub_fan.rays)}
     sub_cones = {
-        frozenset(relabel[i] for i in c.ray_indices) for c in sub_fan.maximal_cones
+        frozenset(relabel[i] for i in c) for c in sub_fan.maximal_cones
     }
-    hex_cones = {frozenset(c.ray_indices) for c in hex_fan.maximal_cones}
+    hex_cones = {frozenset(c) for c in hex_fan.maximal_cones}
     assert sub_cones == hex_cones
 
 

@@ -5,11 +5,10 @@ import pytest
 
 from toricqh import corpus
 from toricqh._exact import rank
+from toricqh.cli import run_cli
 from toricqh.errors import NotReflexive, NotSimplicial
 from toricqh.fan import (
-    Cone,
     Fan,
-    ZERO_CONE,
     fan_from_reflexive,
     fan_product,
     is_complete,
@@ -58,22 +57,58 @@ def test_fan_from_non_simplicial_rejected():
 def test_smoothness():
     assert is_smooth(fan_of("u8")) == (True, None)
     assert is_smooth(fan_of("cp2")) == (True, None)
-    bad = Fan.from_maximal_cones(2, [(1, 0), (1, 2)], [(0, 1)])
+    bad = Fan(2, [(1, 0), (1, 2)], [(0, 1)])
     ok, offender = is_smooth(bad)
     assert not ok
-    assert offender == Cone((0, 1))
+    assert offender == (0, 1)
 
 
 def test_completeness():
     assert is_complete(fan_of("cp2"))
     assert is_complete(fan_of("u8"))
-    orthant = Fan.from_maximal_cones(2, [(1, 0), (0, 1)], [(0, 1)])
+    orthant = Fan(2, [(1, 0), (0, 1)], [(0, 1)])
     assert not is_complete(orthant)
+
+
+CP2_RAYS = [(1, 0), (0, 1), (-1, -1)]
+CP2_CONES = [(0, 1), (1, 2), (0, 2)]
+
+
+def test_duplicate_rays_rejected():
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        Fan(2, [(1, 0), (0, 1), (1, 0)], [(0, 1)])
+
+
+def test_cone_on_dependent_rays_rejected():
+    with pytest.raises(NotSimplicial, match=r"rays \(0, 1\) are linearly dependent"):
+        Fan(2, [(1, 0), (-1, 0)], [(0, 1)])
+
+
+def test_lower_dimensional_maximal_cone_makes_the_fan_incomplete():
+    assert is_complete(Fan(2, CP2_RAYS, CP2_CONES))
+    assert not is_complete(Fan(2, CP2_RAYS + [(1, 1)], CP2_CONES + [(3,)]))
+
+
+def test_listing_a_face_again_changes_nothing():
+    fan = Fan(2, CP2_RAYS, CP2_CONES)
+    again = Fan(2, CP2_RAYS, CP2_CONES + [(2, 1), (0,)])
+    assert again.cones == fan.cones
+    assert is_complete(again) and is_complete(fan)
+
+
+def test_each_predicate_runs_once_per_fan(capsys):
+    is_smooth.cache_clear()
+    is_complete.cache_clear()
+    assert run_cli(["presentation", "u8", "--json"]) == 0
+    capsys.readouterr()
+    for predicate in (is_smooth, is_complete):
+        info = predicate.cache_info()
+        assert info.misses == 1 and info.hits > 0, (predicate.__name__, info)
 
 
 def test_minimal_cone_zero_vector():
     cone, coeffs = minimal_cone_containing(fan_of("cp2"), (0, 0))
-    assert cone == ZERO_CONE
+    assert cone == ()
     assert coeffs == {}
 
 
@@ -81,7 +116,7 @@ def test_minimal_cone_on_ray():
     f = fan_of("bl1_cp2")
     idx = f.rays.index((0, -1))
     cone, coeffs = minimal_cone_containing(f, (0, -1))
-    assert cone == Cone((idx,))
+    assert cone == (idx,)
     assert coeffs == {idx: 1}
 
 
@@ -89,7 +124,7 @@ def test_minimal_cone_interior():
     f = fan_of("cp2")
     e1, e2 = f.rays.index((1, 0)), f.rays.index((0, 1))
     cone, coeffs = minimal_cone_containing(f, (1, 1))
-    assert cone == Cone(tuple(sorted((e1, e2))))
+    assert cone == tuple(sorted((e1, e2)))
     assert coeffs == {e1: 1, e2: 1}
 
 
@@ -101,7 +136,7 @@ def test_minimal_cone_soundness_random(name):
         v = tuple(rng.randint(-5, 5) for _ in range(f.dim))
         cone, coeffs = minimal_cone_containing(f, v)
         assert all(c > 0 for c in coeffs.values())
-        assert set(coeffs) == set(cone.ray_indices)
+        assert set(coeffs) == set(cone)
         rebuilt = tuple(
             sum(c * f.rays[i][k] for i, c in coeffs.items()) for k in range(f.dim)
         )
@@ -132,7 +167,7 @@ def test_primitive_collections_cp1xcp1():
 def test_primitive_collection_definition_recheck():
     for name in ("cp1", "cp2", "cp1xcp1", "bl1_cp2", "bl2_cp2", "bl3_cp2", "u8"):
         f = fan_of(name)
-        stored = {frozenset(c.ray_indices) for cones in f.cones.values() for c in cones}
+        stored = {frozenset(c) for cones in f.cones.values() for c in cones}
         collections = primitive_collections(f)
         for c in collections:
             s = frozenset(c)
@@ -152,7 +187,7 @@ def test_primitive_collection_definition_recheck():
 def test_fan_axioms_catalog():
     for e in corpus.catalog():
         f = corpus.build(e.name)[0]
-        stored = {frozenset(c.ray_indices) for cones in f.cones.values() for c in cones}
+        stored = {frozenset(c) for cones in f.cones.values() for c in cones}
         for s in stored:
             for k in range(len(s)):
                 for sub in itertools.combinations(sorted(s), k):
@@ -165,7 +200,7 @@ def test_simplicial_cones_have_independent_rays():
     for e in corpus.catalog():
         f = corpus.build(e.name)[0]
         for cone in f.maximal_cones:
-            assert rank(f.ray_matrix(cone)) == len(cone.ray_indices)
+            assert rank(f.ray_matrix(cone)) == len(cone)
 
 
 def test_euler_count_matches_volume_for_fano_entries():
@@ -185,8 +220,8 @@ def test_fan_product_cp1_cp1():
     direct = fan_of("cp1xcp1")
     assert sorted(prod.rays) == sorted(direct.rays)
     assert len(prod.maximal_cones) == 4
-    prod_cones = {frozenset(prod.rays[i] for i in c.ray_indices) for c in prod.maximal_cones}
-    direct_cones = {frozenset(direct.rays[i] for i in c.ray_indices) for c in direct.maximal_cones}
+    prod_cones = {frozenset(prod.rays[i] for i in c) for c in prod.maximal_cones}
+    direct_cones = {frozenset(direct.rays[i] for i in c) for c in direct.maximal_cones}
     assert prod_cones == direct_cones
 
 

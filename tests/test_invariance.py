@@ -6,7 +6,10 @@ order. `check` must then report what it reports for the entry itself;
 `solve` must find the same points with the same verdict and critical values;
 and `presentation` must give the same relations once its rays are mapped
 back through the matrix. The entry's moment polytope, written the same way,
-must give the same `check --primal` report as the untransformed polytope.
+must give the same `check --primal` report as the untransformed polytope,
+the same `solve --primal` answers as the entry, and the same
+`presentation --primal` relations once its facet normals are mapped back
+through the transposed matrix.
 """
 
 import json
@@ -54,6 +57,10 @@ def _write_transformed(path, rows, data):
     return _write_rows(path, data.draw(st.permutations(out))), M
 
 
+def _moment_vertices(name):
+    return [tuple(int(x) for x in v) for v in dual_polytope(corpus.entry(name).ray_polytope()).vertices]
+
+
 def _run(capsys, *argv):
     code = run_cli(list(argv))
     return code, capsys.readouterr().out
@@ -75,7 +82,7 @@ def test_check_is_invariant_under_lattice_automorphisms(name, data, tmp_path, ca
 @settings(max_examples=3, **SETTINGS)
 @given(data=st.data())
 def test_check_primal_is_invariant_under_lattice_automorphisms(name, data, tmp_path, capsys):
-    moment = [tuple(int(x) for x in v) for v in dual_polytope(corpus.entry(name).ray_polytope()).vertices]
+    moment = _moment_vertices(name)
     path, _ = _write_transformed(tmp_path / "moment.txt", moment, data)
     code, out = _run(capsys, "check", path, "--primal")
     ref_code, ref_out = _run(capsys, "check", _write_rows(tmp_path / "reference.txt", moment), "--primal")
@@ -132,3 +139,32 @@ def test_presentation_is_invariant_under_lattice_automorphisms(name, data, tmp_p
     rows = [[rel["coeffs"][k] for k in order] for rel in got["linear"]]
     ref_rows = [rel["coeffs"] for rel in ref["linear"]]
     assert rows == [[sum(m * row[j] for m, row in zip(M_row, ref_rows)) for j in range(len(order))] for M_row in M]
+
+
+@pytest.mark.parametrize("name", ("cp2", "bl1_cp2"))
+@settings(max_examples=3, **SETTINGS)
+@given(data=st.data())
+def test_solve_primal_is_invariant_under_lattice_automorphisms(name, data, tmp_path, capsys):
+    path, _ = _write_transformed(tmp_path / "moment.txt", _moment_vertices(name), data)
+    code, out = _run(capsys, "solve", path, "--primal", "--json")
+    ref_code, ref_out = _run(capsys, "solve", name, "--json")
+    assert code == ref_code == 0
+    assert _solve_summary(out) == _solve_summary(ref_out)
+    values, ref_values = ([complex(*z) for z in json.loads(o)["critical_values"]] for o in (out, ref_out))
+    assert match_complex_sets(values, ref_values, tol=1e-8)
+
+
+@pytest.mark.parametrize("name", SMOOTH_FANO)
+@settings(max_examples=3, **SETTINGS)
+@given(data=st.data())
+def test_presentation_primal_is_invariant_under_lattice_automorphisms(name, data, tmp_path, capsys):
+    path, M = _write_transformed(tmp_path / "moment.txt", _moment_vertices(name), data)
+    code, out = _run(capsys, "presentation", path, "--primal", "--json")
+    ref_code, ref_out = _run(capsys, "presentation", name, "--json")
+    assert code == ref_code == 0
+    got, ref = json.loads(out), json.loads(ref_out)
+    # <M m, n> = <m, M^T n>: a facet normal n of the written polytope is M^T n on the entry's side
+    back = [tuple(sum(row[i] * x for row, x in zip(M, n)) for i in range(len(n))) for n in got["rays"]]
+    ref_rays = [tuple(r) for r in ref["rays"]]
+    assert sorted(back) == sorted(ref_rays)
+    assert _relations(got, back) == _relations(ref, ref_rays)
