@@ -4,12 +4,14 @@ root count and the semisimplicity verdict.
 
 Newton runs in logarithmic coordinates u (x = exp(u)), where the gradient
 and Hessian of W(exp(u)) are exact finite sums; the torus constraint
-disappears. Converged samples are canonically sorted, merged by relative
-distance, certified exactly when they snap onto rational points, and ranked
-by Hessian rank. The starts run through one batched Newton kernel, a block
-of rows at a time. The solver promises determinism for a fixed seed,
-independent of how the starts are blocked, but not completeness; missing
-roots are reported as an honest deficit.
+disappears. Start k is the draw of np.random.default_rng([seed, k]),
+computed bit for bit for all k in one vectorised pass, so numpy.random is
+never loaded; the starts run through one batched Newton kernel, a block of
+rows at a time. The converged samples, as arrays, are canonically sorted,
+merged by relative distance, certified exactly when they snap onto rational
+points, and ranked by Hessian rank. The solver promises determinism for a
+fixed seed, independent of blocking, but not completeness; missing roots
+are reported as an honest deficit.
 
 This module owns the one floating-point evaluation of W, `_terms`: Newton,
 the cluster centres and `verify_point` all read it. `potential` is exact.
@@ -112,9 +114,70 @@ def _hessian(exponents, t):
 
 # Starts per Newton block: large enough to amortise the per-iteration numpy
 # calls, small enough that the (block, terms, dim) Hessian stack stays small.
-_BLOCK = 256
+_BLOCK = 1024
 _POLISH_STEPS = 30
 _ESCAPE = 50.0  # |Re u| beyond this: |x| or 1/|x| past e^50, the start diverged
+_M32 = 0xFFFFFFFF
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _hashes(h, mult):
+    """SeedSequence's hash constants: (xor constant, multiplier) pairs."""
+    while True:
+        old, h = h, h * mult & _M32
+        yield old, h
+
+
+def _hash(v, hashes):
+    a, b = next(hashes)
+    v = (v ^ a) * b
+    return v ^ (v >> 16)
+
+
+def _add128(a, b):
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < b[1]), lo
+
+
+def _pcg_step(state, inc):
+    """PCG64's step, state * multiplier + inc mod 2**128, on (high, low)
+    uint64 arrays; the high word of low * low comes from 32-bit halves."""
+    hi, lo = state
+    l0, l1, m0, m1 = lo & _M32, lo >> 32, _PCG_MULT_LO & _M32, _PCG_MULT_LO >> 32
+    mid = (l0 * m0 >> 32) + (l0 * m1 & _M32) + (l1 * m0 & _M32)
+    carry = l1 * m1 + (l0 * m1 >> 32) + (l1 * m0 >> 32) + (mid >> 32)
+    return _add128((carry + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI, lo * _PCG_MULT_LO), inc)
+
+
+def _starts(seed: int, n: int, dim: int):
+    """Starts 0..n-1 (n <= 2**32): row k is rng.uniform(log 1/2, log 2, dim)
+    + 1j * rng.uniform(0, 2 pi, dim) for rng = default_rng([seed, k]), by
+    numpy's steps on arrays: SeedSequence hashes the words of seed and k into
+    a 4-word pool and expands it to 128-bit seed and increment for PCG64,
+    whose XSL-RR outputs give the doubles. Array arithmetic wraps silently,
+    where numpy scalars would warn."""
+    words = [seed & _M32] + ([seed >> 32] if seed >> 32 else [])
+    entropy = [np.full(n, w, dtype=np.uint32) for w in words] + [np.arange(n, dtype=np.uint32)]
+    hashes = _hashes(0x43B0D7E5, 0x931E8875)
+    pool = [_hash(v, hashes) for v in entropy + [np.zeros(n, dtype=np.uint32)] * (4 - len(entropy))]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * _hash(pool[src], hashes)
+                pool[dst] = mixed ^ (mixed >> 16)
+    hashes = _hashes(0x8B51F9DD, 0x58F38DED)
+    half = [_hash(pool[i % 4], hashes).astype(np.uint64) for i in range(8)]
+    s_hi, s_lo, i_hi, i_lo = (half[i] | half[i + 1] << 32 for i in range(0, 8, 2))
+    inc = (i_hi << 1 | i_lo >> 63, i_lo << 1 | 1)
+    state = _pcg_step(_add128(inc, (s_hi, s_lo)), inc)
+    draws = []
+    for _ in range(2 * dim):
+        state = _pcg_step(state, inc)
+        x, rot = state[0] ^ state[1], state[0] >> 58
+        draws.append(((x >> rot | x << (64 - rot & 63)) >> 11) * (1.0 / 9007199254740992.0))
+    r = np.stack(draws, axis=1)
+    logmod = np.log(0.5) + (np.log(2.0) - np.log(0.5)) * r[:, :dim]
+    return logmod + 1j * (0.0 + 2.0 * np.pi * r[:, dim:])
 
 
 def _newton_block(exponents, coeffs, u0):
@@ -158,34 +221,35 @@ def _newton_block(exponents, coeffs, u0):
             | (improved & ((polish_left[rows] <= 0) | (residual == 0.0)))
         )
         rows, u, t, g = rows[~stop], u[~stop], t[~stop], g[~stop]
-        h = _hessian(exponents, t)
-        try:
-            step = np.linalg.solve(h, -g[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # A stacked solve fails as a whole; only the singular rows stop.
-            step = np.zeros_like(g)
-            solvable = np.ones(rows.size, dtype=bool)
-            for i in range(rows.size):
-                try:
-                    step[i] = np.linalg.solve(h[i], -g[i])
-                except np.linalg.LinAlgError:
-                    solvable[i] = False
-            rows, u, step = rows[solvable], u[solvable], step[solvable]
-        u = u + step
+        step, solvable = _newton_steps(_hessian(exponents, t), g)
+        rows, u = rows[solvable], u[solvable] + step[solvable]
     return best_u, best_res
+
+
+def _newton_steps(h, g):
+    """Newton steps -h^-1 g of a stack, and which rows have them. A stacked
+    solve fails as a whole, so a failing stack is halved until each singular
+    row stands alone; only those rows stop."""
+    try:
+        return np.linalg.solve(h, -g[..., None])[..., 0], np.ones(len(g), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(g) == 1:
+            return g, np.zeros(1, dtype=bool)
+        halves = [_newton_steps(h[part], g[part]) for part in (slice(len(g) // 2), slice(len(g) // 2, None))]
+        return tuple(np.concatenate(parts) for parts in zip(*halves))
 
 
 def _numeric_points(exponents, coeffs, points) -> list[CriticalPoint]:
     """Residual (log-gradient max-norm), log-Hessian rank and value of W at
     each point, from one stacked evaluation at their log coordinates."""
-    u = np.log(np.array(points, dtype=complex).reshape(len(points), exponents.shape[1]))
-    t = _terms(exponents, coeffs, u)
+    points = np.asarray(points, dtype=complex)
+    t = _terms(exponents, coeffs, np.log(points))
     residuals = np.max(np.abs(_gradient(exponents, t)), axis=1)
     sv = np.linalg.svd(_hessian(exponents, t), compute_uv=False)
     ranks = np.sum(sv > RANK_TOL * sv[:, :1], axis=1).tolist()
     return [
         CriticalPoint(tuple(p), float(r), k, k == len(p), 1, complex(v))
-        for p, r, k, v in zip(points, residuals, ranks, t.sum(axis=1))
+        for p, r, k, v in zip(points.tolist(), residuals, ranks, t.sum(axis=1))
     ]
 
 
@@ -193,30 +257,28 @@ def _coord_key(coords):
     return tuple(part for z in coords for part in (z.real, z.imag))
 
 
-def _merge(clusters, tol):
-    """Fold each cluster into the first earlier kept cluster whose centre is
-    within relative distance tol in every complex coordinate; a member with
-    a lower residual becomes the centre and brings its numbers along.
-    Returns the kept clusters in order.
+def _merge(X, R, sizes, tol):
+    """Fold each row of X into the first earlier kept cluster whose centre is
+    within relative distance tol in every complex coordinate; a row with a
+    lower residual R becomes the centre. Returns the kept clusters in order,
+    as dicts of their first row, centre row and summed size.
     """
-    if not clusters:
-        return []
-    kept = []
-    centres = np.empty((len(clusters), len(clusters[0]["coords"])), dtype=complex)
-    for cl in clusters:
-        c = np.array(cl["coords"], dtype=complex)
-        head = centres[: len(kept)]
-        near = np.all(np.abs(head - c) <= tol * np.maximum(np.abs(head), np.abs(c)), axis=1)
-        if near.any():
-            j = int(np.argmax(near))
-            target = kept[j]
-            target["size"] += cl["size"]
-            if cl["residual"] < target["residual"]:
-                target.update({key: v for key, v in cl.items() if key != "size"})
-                centres[j] = c
+    # tol * max(|c|, |x|) is the larger of tol * |c| and tol * |x|, bit for bit
+    radii = tol * np.abs(X)
+    centres, centre_radii = np.empty_like(X), np.empty_like(radii)
+    R, kept = R.tolist(), []
+    for i, (x, r) in enumerate(zip(X, radii)):
+        n = len(kept)
+        near = (np.abs(centres[:n] - x) <= np.maximum(centre_radii[:n], r)).all(axis=1)
+        j = int(near.argmax()) if n else 0
+        if n and near[j]:
+            cl = kept[j]
+            cl["size"] += sizes[i]
+            if R[i] < R[cl["centre"]]:
+                cl["centre"], centres[j], centre_radii[j] = i, x, r
         else:
-            centres[len(kept)] = c
-            kept.append(cl)
+            centres[n], centre_radii[n] = x, r
+            kept.append({"first": i, "centre": i, "size": sizes[i]})
     return kept
 
 
@@ -280,51 +342,48 @@ def _verdict(points, expected_count) -> Verdict:
 def solve(W: Superpotential, expected_count: int, cfg: SolverConfig = SolverConfig()) -> SolveReport:
     """Multistart Newton solve; deterministic for fixed cfg.seed.
 
-    Start moduli are log-uniform in [1/2, 2] with uniform phases; each start
-    draws its own substream from (seed, start index), and every row of the
-    batched Newton kernel runs independently, so results do not depend on
-    how the starts are split into blocks.
+    Start moduli are log-uniform in [1/2, 2] with uniform phases. Start k is
+    what default_rng([seed, k]) would draw, bit for bit, from one vectorised
+    pass over all k (`_starts`); numpy.random is never loaded. Every row of
+    the batched Newton kernel runs independently, so results do not depend
+    on how the starts are split into blocks.
     """
     exponents, coeffs = _arrays(W)
     n_starts = cfg.starts if cfg.starts is not None else 200 * expected_count
-    seed = cfg.seed & 0xFFFFFFFFFFFFFFFF
+    u0 = _starts(cfg.seed & 0xFFFFFFFFFFFFFFFF, n_starts, W.dim)
+    blocks = [_newton_block(exponents, coeffs, u0[lo : lo + _BLOCK]) for lo in range(0, n_starts, _BLOCK)]
+    us, R = (np.concatenate(parts) for parts in zip(*blocks))
+    X, R = np.exp(us[np.isfinite(R)]), R[np.isfinite(R)]
+    # canonical order: real, then imaginary part of each coordinate, then residual
+    order = np.lexsort([R] + [part for z in X.T[::-1] for part in (z.imag, z.real)])
+    X, R = X[order], R[order]
 
-    def start(k: int):
-        rng = np.random.default_rng([seed, k])
-        logmod = rng.uniform(np.log(0.5), np.log(2.0), W.dim)
-        phase = rng.uniform(0.0, 2.0 * np.pi, W.dim)
-        return logmod + 1j * phase
-
-    converged = []
-    for lo in range(0, n_starts, _BLOCK):
-        u0 = np.array([start(k) for k in range(lo, min(lo + _BLOCK, n_starts))])
-        us, residuals = _newton_block(exponents, coeffs, u0)
-        ok = np.isfinite(residuals)
-        converged += [(tuple(map(complex, x)), float(res)) for x, res in zip(np.exp(us[ok]), residuals[ok])]
-    converged.sort(key=lambda item: (_coord_key(item[0]), item[1]))
-
-    clusters = _merge([{"coords": coords, "residual": res, "size": 1} for coords, res in converged], CLUSTER_TOL)
+    clusters = _merge(X, R, [1] * len(R), CLUSTER_TOL)
+    X, R = X[[cl["centre"] for cl in clusters]], R[[cl["centre"] for cl in clusters]]
     # Each centre re-checked at its reported coordinates: Newton's own
     # residual is exactly 0 on rows polished to zero.
-    for cl, point in zip(clusters, _numeric_points(exponents, coeffs, [cl["coords"] for cl in clusters])):
-        cl["point"] = point
+    numeric = _numeric_points(exponents, coeffs, X)
+    sizes = [cl["size"] for cl in clusters]
 
     # A residual below tol only localizes a critical point of multiplicity m
     # to about tol^(1/m), so samples around a degenerate point scatter far
     # wider than CLUSTER_TOL. Re-merge degenerate clusters at tol^(1/4), which
     # covers multiplicities up to 4 (u8's degenerate points have 3).
     wide_tol = max(CLUSTER_TOL, NEWTON_TOL ** 0.25)
-    kept = {id(cl) for cl in _merge([cl for cl in clusters if not cl["point"].nondegenerate], wide_tol)}
-    merged = [cl for cl in clusters if cl["point"].nondegenerate or id(cl) in kept]
+    centre_of = {i: i for i, p in enumerate(numeric) if p.nondegenerate}
+    degenerate = [i for i, p in enumerate(numeric) if not p.nondegenerate]
+    for cl in _merge(X[degenerate], R[degenerate], [sizes[i] for i in degenerate], wide_tol):
+        centre_of[degenerate[cl["first"]]] = degenerate[cl["centre"]]
+        sizes[degenerate[cl["first"]]] = cl["size"]
 
     points = []
-    for cl in merged:
-        snap_tol = CLUSTER_TOL if cl["point"].nondegenerate else wide_tol
-        snapped = _snap_rational(W, cl["coords"], snap_tol)
+    for first in sorted(centre_of):
+        point = numeric[centre_of[first]]
+        snapped = _snap_rational(W, point.coords, CLUSTER_TOL if point.nondegenerate else wide_tol)
         if snapped is not None:
-            points.append(_exact_point(W, snapped, cl["size"]))
-        elif cl["point"].residual < NEWTON_TOL:
-            points.append(replace(cl["point"], cluster_size=cl["size"]))
+            points.append(_exact_point(W, snapped, sizes[first]))
+        elif point.residual < NEWTON_TOL:
+            points.append(replace(point, cluster_size=sizes[first]))
     points.sort(key=lambda p: _coord_key(p.coords))
 
     if len(points) > expected_count:

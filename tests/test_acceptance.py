@@ -93,22 +93,26 @@ def test_criterion_04_generic_semisimplicity(u8):
 
 
 def _surface_critical_oracle(fan):
-    """Independent oracle for 2-fold critical points: clear denominators and
-    solve the two log-derivative equations symbolically."""
+    """Independent oracle for 2-fold critical points: a lex Groebner basis
+    (t > x > y) of the two log-derivative equations with denominators
+    cleared, saturated by t*x*y - 1 so that only torus points remain. Its
+    last element is univariate in y; at each of its roots, the x-roots of
+    the lowest-degree remaining element that zero every other one are the
+    points above it."""
     import sympy
 
-    x, y = sympy.symbols("x y")
+    x, y, t = sympy.symbols("x y t")
     W = sum(x ** r[0] * y ** r[1] for r in fan.rays)
-    eqs = []
-    for v in (x, y):
-        expr = sympy.together(v * sympy.diff(W, v))
-        eqs.append(sympy.numer(expr))
-    solutions = sympy.solve(eqs, [x, y], dict=True)
+    eqs = [sympy.numer(sympy.together(v * sympy.diff(W, v))) for v in (x, y)]
+    basis = sympy.groebner(eqs + [t * x * y - 1], t, x, y, order="lex")
+    plane = [g for g in basis.exprs if not g.has(t)]
     points = []
-    for sol in solutions:
-        px, py = complex(sol[x]), complex(sol[y])
-        if abs(px) > 1e-12 and abs(py) > 1e-12:
-            points.append((px, py))
+    for y0 in sympy.Poly(plane[-1], y).nroots(n=30):
+        in_x = [sympy.Poly(g.subs(y, y0), x) for g in plane[:-1]]
+        lowest = min((p for p in in_x if p.degree() > 0), key=lambda p: p.degree())
+        for x0 in lowest.nroots(n=30):
+            if all(abs(complex(p.eval(x0))) < 1e-12 for p in in_x):
+                points.append((complex(x0), complex(y0)))
     return points
 
 
@@ -269,7 +273,7 @@ def test_criterion_11_invariant_suites(u8, monkeypatch):
     fanb, Fb = corpus.build("bl2_cp2")
     Wb = build_potential(fanb, Fb)
     reports = set()
-    for block in (1, 7, solver._BLOCK):
+    for block in (1, 7, solver._BLOCK, 4096):
         monkeypatch.setattr(solver, "_BLOCK", block)
         reports.add(report_to_json(solve(Wb, len(fanb.maximal_cones), SolverConfig(seed=5, starts=400))))
     assert len(reports) == 1

@@ -2,6 +2,9 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -119,10 +122,49 @@ def test_solver_deterministic_same_seed():
 def test_solver_deterministic_across_blocking(monkeypatch):
     W, expected = build("bl2_cp2")
     outputs = set()
-    for block in (1, 7, solver._BLOCK):
+    for block in (1, 7, solver._BLOCK, 4096):
         monkeypatch.setattr(solver, "_BLOCK", block)
         outputs.add(report_to_json(solve(W, expected, SolverConfig(seed=5, starts=400))))
     assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_starts_equal_default_rng_per_index(seed):
+    # 1- and 2-word seeds; indices on both sides of a Newton block boundary
+    n = solver._BLOCK + 40
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solver._starts(seed, n, 3)
+    for k in [*range(20), solver._BLOCK - 1, solver._BLOCK, n - 1]:
+        rng = np.random.default_rng([seed, k])
+        logmod = rng.uniform(np.log(0.5), np.log(2.0), 3)
+        expected = logmod + 1j * rng.uniform(0.0, 2.0 * np.pi, 3)
+        assert got[k].tobytes() == expected.tobytes(), k
+
+
+def test_solve_never_loads_numpy_random():
+    probe = (
+        "import sys\n"
+        "from toricqh import corpus, solve, SolverConfig\n"
+        "from toricqh.potential import build_potential\n"
+        "fan, F = corpus.build('cp2')\n"
+        "assert solve(build_potential(fan, F), 3, SolverConfig(seed=0)).found_count == 3\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_no_converged_start_gives_an_empty_report(monkeypatch):
+    def diverged(exponents, coeffs, u0):
+        return u0, np.full(len(u0), np.inf)
+
+    monkeypatch.setattr(solver, "_newton_block", diverged)
+    W, expected = build("cp2")
+    report = solve(W, expected, SolverConfig(seed=0, starts=50))
+    assert report.points == () and report.verdict is Verdict.UNDETERMINED
 
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "solver_golden.json").read_text())
@@ -208,12 +250,11 @@ def _reference_merge(samples, tol):
     return clusters
 
 
-def test_merge_matches_scalar_reference():
+def _assert_merge_matches_reference(tol):
     # Samples scattered around a few centres at about the merge radius, so
     # that which sample is a cluster's centre decides later matches.
     rng = np.random.default_rng(11)
-    tol = 1e-6
-    centres = [(1.0 + 1.0j, -2.0 + 0.0j), (1.0 + 1.0j, -2.0 + 3e-6j), (0.5j, 4.0 + 0.0j)]
+    centres = [(1.0 + 1.0j, -2.0 + 0.0j), (1.0 + 1.0j, -2.0 + 3j * tol), (0.5j, 4.0 + 0.0j)]
     samples = []
     for _ in range(400):
         c = centres[rng.integers(len(centres))]
@@ -222,9 +263,23 @@ def test_merge_matches_scalar_reference():
         samples.append((coords, float(rng.uniform(1e-16, 1e-13))))
     samples.sort(key=lambda item: (solver._coord_key(item[0]), item[1]))
     expected = _reference_merge(samples, tol)
-    got = solver._merge([{"coords": c, "residual": r, "size": 1} for c, r in samples], tol)
+    X = np.array([c for c, _ in samples])
+    R = np.array([r for _, r in samples])
+    got = [
+        {"coords": samples[cl["centre"]][0], "residual": R[cl["centre"]], "size": cl["size"]}
+        for cl in solver._merge(X, R, [1] * len(samples), tol)
+    ]
     assert len(expected) > len(centres)
     assert got == expected
+
+
+def test_merge_matches_scalar_reference():
+    _assert_merge_matches_reference(solver.CLUSTER_TOL)
+
+
+def test_wide_merge_matches_scalar_reference():
+    # about the wide tolerance NEWTON_TOL ** 0.25 of the degenerate re-merge
+    _assert_merge_matches_reference(1e-3)
 
 
 def _seeded_starts(dim, n, seed=3):
