@@ -1,25 +1,30 @@
 """Toric Fano quantum cohomology toolkit: reflexive polytopes, fans,
 quantized Stanley-Reisner presentations, Landau-Ginzburg superpotentials,
-critical-point solving, and Newton-polygon valuation reports."""
+critical-point solving, and Newton-polygon valuation reports.
+
+`import toricqh` loads no submodule: each public name imports its module,
+and that module's dependencies, on first use (PEP 562)."""
 
 import importlib
 
-from .batyrev import Presentation, emit_presentation, linear_ideal, presentation, quantum_sr_generators
-from .corpus import CatalogEntry, PolytopeFile, catalog, entry, parse_polytope, serialize_polytope
-from .fan import Cone, Fan, fan_from_reflexive, fan_product, is_complete, is_smooth, minimal_cone_containing, primitive_collections
-from .lattice import Facet, Polytope, convex_hull_facets, dual_polytope, is_delzant, is_reflexive, lattice_points, normalized_volume, polytope_product
-from .newton import ValuedPoly, blowup_family, lower_hull, quasimorphism_report, root_valuations
-from .potential import Superpotential, build_potential
-from .support import SupportFunction, is_strictly_convex, moment_polytope, monotone_support, support_from_polytope
-
 __version__ = "0.1.0"
 
-# The numeric layer, and with it numpy, loads on first use (PEP 562), so the
-# exact geometry commands never import it.
-_LAZY = {
-    **dict.fromkeys(("CriticalPoint", "SolveReport", "SolverConfig", "Verdict", "classify", "solve", "verify_point"), "solver"),
-    **dict.fromkeys(("Spectrum", "cp_closed_form", "critical_values"), "spectra"),
-}
+# public name -> the module that defines it, listed module by module
+_LAZY = {name: module for module, names in (
+    ("batyrev", "Presentation emit_presentation linear_ideal presentation quantum_sr_generators"),
+    ("corpus", "CatalogEntry PolytopeFile catalog entry parse_polytope serialize_polytope"),
+    ("fan", "Cone Fan fan_from_reflexive fan_product is_complete is_smooth minimal_cone_containing "
+            "primitive_collections"),
+    ("lattice", "Facet Polytope convex_hull_facets dual_polytope is_delzant is_reflexive lattice_points "
+                "normalized_volume polytope_product"),
+    ("newton", "ValuedPoly blowup_family lower_hull quasimorphism_report root_valuations"),
+    ("potential", "Superpotential build_potential"),
+    ("support", "SupportFunction is_strictly_convex moment_polytope monotone_support support_from_polytope"),
+    ("solver", "CriticalPoint SolveReport SolverConfig Verdict classify solve verify_point"),
+    ("spectra", "Spectrum cp_closed_form critical_values"),
+) for name in names.split()}
+
+__all__ = list(_LAZY)
 
 
 def __getattr__(name):
@@ -28,3 +33,7 @@ def __getattr__(name):
     value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
     globals()[name] = value
     return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

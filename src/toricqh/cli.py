@@ -4,6 +4,9 @@ Targets are either catalog entry names or paths to vertex-list files
 (rows are ray-polytope vertices by default; --primal reads a file's rows, or a
 catalog entry's rays, as moment-polytope vertices instead). Exit codes:
 0 success, 1 domain error, 2 parse/usage error.
+
+The layers every target needs load with this module; batyrev, potential,
+newton, and solver and spectra with numpy, load in the commands that use them.
 """
 
 import argparse
@@ -11,11 +14,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import batyrev, corpus, potential, support
+from . import corpus, support
 from .errors import DomainError, ParseError
 from .fan import fan_from_reflexive, is_complete, is_smooth, kushnirenko_bound, primitive_collections
 from .lattice import Polytope, dual_polytope, is_delzant, is_reflexive, lattice_points
-from .newton import quasimorphism_report
 
 
 def _fmt(x: float) -> str:
@@ -46,8 +48,13 @@ def _resolve(target: str):
     catalog entry's rays, on whichever side --primal picks). Not dualised
     here: a Delzant moment polytope with the origin on its boundary has no
     dual."""
-    if Path(target).exists():
-        entry, rows = None, corpus.parse_polytope(Path(target).read_text(encoding="utf-8")).rows
+    path = Path(target)
+    if path.exists():
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read {target}: {getattr(exc, 'strerror', None) or exc}") from None
+        entry, rows = None, corpus.parse_polytope(text).rows
     else:
         entry = corpus.entry(target)  # raises UnknownInput for junk targets
         rows = entry.dual_vertices
@@ -86,6 +93,8 @@ def _parse_values(text: str, expected: int, what: str, kind) -> tuple:
 
 def _potential(args):
     """(label, fan, superpotential) of the command's target and --coeffs."""
+    from . import potential
+
     label, fan, F = _target(args)
     coeffs = _parse_values(args.coeffs, len(fan.rays), "--coeffs", float) if args.coeffs else None
     return label, fan, potential.build_potential(fan, F, coeffs)
@@ -145,6 +154,8 @@ def _cmd_fan(args) -> int:
 
 
 def _cmd_presentation(args) -> int:
+    from . import batyrev
+
     label, fan, F = _target(args)
     if args.support:
         F = support.SupportFunction(fan, _parse_values(args.support, len(fan.rays), "--support", Fraction))
@@ -164,6 +175,8 @@ def _cmd_presentation(args) -> int:
 
 
 def _cmd_potential(args) -> int:
+    from . import potential
+
     label, _, W = _potential(args)
     print(f"input: {label}")
     print("W = " + potential.render(W, symbolic=args.symbolic))
@@ -230,6 +243,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_valuations(args) -> int:
+    from .newton import quasimorphism_report
+
     alpha = _parse_values(args.alpha, 1, "--alpha", Fraction)[0]
     beta = _parse_values(args.beta, 1, "--beta", Fraction)[0]
     report = quasimorphism_report(alpha, beta)

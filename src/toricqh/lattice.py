@@ -10,7 +10,6 @@ builds one hull per point set.
 """
 
 import itertools
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -19,8 +18,6 @@ from math import ceil, floor, lcm
 from . import _exact
 from ._exact import IntVec, RatVec, affine_rank, dot, ratvec, vsub
 from .errors import NotFullDimensional, OriginNotInterior
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, order=True)
@@ -87,8 +84,6 @@ def _hull(pts: tuple[RatVec, ...]) -> Polytope:
     facets = convex_hull_facets(pts)
     dim = len(pts[0])
     vertices = [p for p in pts if _exact.rank([f.normal for f in facets if dot(p, f.normal) == f.offset]) == dim]
-    if len(vertices) < len(pts):
-        log.debug("dropped %d non-extreme input point(s)", len(pts) - len(vertices))
     return Polytope(dim, vertices, facets)
 
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -336,17 +337,81 @@ def test_only_solve_and_spectrum_load_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_solver_names_resolve_lazily_from_the_package():
-    import toricqh
-    from toricqh import solver, spectra
+IMPORT_PROBE = """
+import contextlib, io, sys
+loaded = lambda: [sorted(m for m in sys.modules if m.split(".")[0] == "toricqh"),
+                  *(m in sys.modules for m in ("numpy", "json", "logging"))]
+import toricqh
+steps = [loaded()]
+from toricqh.cli import run_cli
+steps.append(loaded())
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli(argv.split()) == 0, argv
+    steps.append(loaded())
+print(steps)
+"""
 
-    for module, names in ((solver, ("CriticalPoint", "SolveReport", "SolverConfig", "Verdict",
-                                    "classify", "solve", "verify_point")),
-                          (spectra, ("Spectrum", "cp_closed_form", "critical_values"))):
-        for name in names:
-            assert getattr(toricqh, name) is getattr(module, name)
+
+def _src_env():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_each_command_loads_only_the_layers_it_runs():
+    commands = ["catalog", "check cp2", "fan bl1_cp2", "presentation u8 --json", "potential u8",
+                "valuations --alpha 2 --beta 1", "solve cp2 --json"]
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *commands],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    base = ["toricqh", "toricqh._exact", "toricqh.cli", "toricqh.corpus", "toricqh.errors",
+            "toricqh.fan", "toricqh.lattice", "toricqh.support"]
+    with_batyrev = sorted(base + ["toricqh.batyrev"])
+    with_potential = sorted(with_batyrev + ["toricqh.potential"])
+    with_newton = sorted(with_potential + ["toricqh.newton"])
+    # (toricqh.* modules, numpy, json, logging) after each step
+    assert ast.literal_eval(proc.stdout) == [
+        [["toricqh"], False, False, False],              # import toricqh
+        [base, False, False, False],                     # import toricqh.cli
+        [base, False, False, False],                     # catalog
+        [base, False, False, False],                     # check cp2
+        [base, False, False, False],                     # fan bl1_cp2
+        [with_batyrev, False, True, False],              # presentation u8 --json
+        [with_potential, False, True, False],            # potential u8
+        [with_newton, False, True, False],               # valuations
+        [sorted(with_newton + ["toricqh.solver"]), True, True, False],  # solve cp2 --json
+    ]
+
+
+def test_every_public_name_resolves_lazily_from_the_package():
+    import importlib
+
+    import toricqh
+
+    for name in toricqh.__all__:
+        module = importlib.import_module(f"toricqh.{toricqh._LAZY[name]}")
+        assert getattr(toricqh, name) is getattr(module, name), name
+    assert set(toricqh.__all__) <= set(dir(toricqh))
     with pytest.raises(AttributeError, match="no_such_name"):
         toricqh.no_such_name
+    # a submodule is not a lazy name: `from toricqh import corpus` imports it
+    probe = "import toricqh; from toricqh import corpus; print(corpus.__name__)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.stdout == "toricqh.corpus\n", proc.stderr
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf-8 file"])
+def test_an_unreadable_target_is_a_parse_error(kind, tmp_path):
+    target = tmp_path
+    if kind == "non-utf-8 file":
+        target = tmp_path / "latin1.txt"
+        target.write_bytes("2 3\n1 0 # caf\xe9\n0 1\n-1 -1\n".encode("latin-1"))
+    proc = subprocess.run([sys.executable, "-c", "from toricqh.cli import main; main()", "check", str(target)],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"parse error: cannot read {target}: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_solve_file_with_a_non_extreme_row_builds_one_hull(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,4 @@
-"""Every name a package module imports is used in that module.
-
-`__init__.py` is exempt: its imports are the package's public names.
-"""
+"""Every name a package module imports is used in that module."""
 
 import ast
 from pathlib import Path
@@ -9,7 +6,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toricqh"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
