@@ -189,8 +189,8 @@ def _solve_target(args):
     label, fan, W = _potential(args)
     try:
         cfg = solver.SolverConfig(seed=args.seed, starts=args.starts)
-    except ValueError as exc:
-        raise ParseError(f"--starts: {exc}") from None
+    except ValueError as exc:  # each message opens with the field it rejects
+        raise ParseError(f"--{str(exc).split()[0]}: {exc}") from None
     return label, solver.solve(W, kushnirenko_bound(fan), cfg)
 
 

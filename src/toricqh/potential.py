@@ -67,21 +67,15 @@ def eval(W: Superpotential, p) -> Fraction:
     return sum(_term_values(W, p))
 
 
-def log_gradient(W: Superpotential, p) -> tuple[Fraction, ...]:
-    """Component i is sum_rho (n_rho)_i b_rho p^{n_rho}: the derivative of
-    W(exp(u)) along the i-th logarithmic coordinate."""
-    values = _term_values(W, p)
-    return tuple(
-        sum(t.exponent[i] * v for t, v in zip(W.terms, values) if t.exponent[i])
-        for i in range(W.dim)
-    )
-
-
-def hessian_affine(W: Superpotential, p) -> tuple[tuple[Fraction, ...], ...]:
-    """Ordinary second partials d^2 W / dx_i dx_j at p."""
+def jet(W: Superpotential, p):
+    """W, `log_gradient` and `hessian_affine` at p, from one evaluation of
+    the terms."""
     values = _term_values(W, p)
     p = tuple(Fraction(x) for x in p)
     d = W.dim
+    gradient = tuple(
+        sum(t.exponent[i] * v for t, v in zip(W.terms, values) if t.exponent[i]) for i in range(d)
+    )
     h = [[Fraction(0)] * d for _ in range(d)]
     for t, v in zip(W.terms, values):
         e = t.exponent
@@ -93,7 +87,18 @@ def hessian_affine(W: Superpotential, p) -> tuple[tuple[Fraction, ...], ...]:
     for i in range(d):
         for j in range(i):
             h[i][j] = h[j][i]
-    return tuple(tuple(row) for row in h)
+    return sum(values), gradient, tuple(tuple(row) for row in h)
+
+
+def log_gradient(W: Superpotential, p) -> tuple[Fraction, ...]:
+    """Component i is sum_rho (n_rho)_i b_rho p^{n_rho}: the derivative of
+    W(exp(u)) along the i-th logarithmic coordinate."""
+    return jet(W, p)[1]
+
+
+def hessian_affine(W: Superpotential, p) -> tuple[tuple[Fraction, ...], ...]:
+    """Ordinary second partials d^2 W / dx_i dx_j at p."""
+    return jet(W, p)[2]
 
 
 def render(W: Superpotential, symbolic: bool = False) -> str:

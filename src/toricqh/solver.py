@@ -6,11 +6,12 @@ Newton runs in logarithmic coordinates u (x = exp(u)), where the gradient
 and Hessian of W(exp(u)) are exact finite sums; the torus constraint
 disappears. Start k is the draw of np.random.default_rng([seed, k]),
 computed bit for bit for all k in one vectorised pass, so numpy.random is
-never loaded; the starts run through one batched Newton kernel, a block of
-rows at a time. The converged samples, as arrays, are canonically sorted,
-merged by relative distance, certified exactly when they snap onto rational
-points, and ranked by Hessian rank. The solver promises determinism for a
-fixed seed, independent of blocking, but not completeness; missing roots
+never loaded; the starts run through one batched Newton kernel, a pool of
+rows refilled from the queue as rows stop. The converged samples, as
+arrays, are canonically sorted, merged by relative distance cell by cell,
+certified exactly from one evaluation when they snap onto rational points,
+and ranked by Hessian rank. The solver promises determinism for a fixed
+seed, independent of the pool width, but not completeness; missing roots
 are reported as an honest deficit.
 
 This module owns the one floating-point evaluation of W, `_terms`: Newton,
@@ -49,6 +50,8 @@ class SolverConfig:
     starts: int | None = None  # default resolves to 200 * expected_count
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2**64:  # what default_rng([seed, k]) accepts, without aliases
+            raise ValueError("seed must be in [0, 2**64)")
         if self.starts is not None and self.starts < 1:
             raise ValueError("starts must be >= 1")
 
@@ -112,8 +115,8 @@ def _hessian(exponents, t):
     return np.matmul(exponents.T, t[..., None] * exponents)
 
 
-# Starts per Newton block: large enough to amortise the per-iteration numpy
-# calls, small enough that the (block, terms, dim) Hessian stack stays small.
+# Active rows of the Newton pool: large enough to amortise the per-iteration
+# numpy calls, small enough that the (rows, terms, dim) Hessian stack stays small.
 _BLOCK = 1024
 _POLISH_STEPS = 30
 _ESCAPE = 50.0  # |Re u| beyond this: |x| or 1/|x| past e^50, the start diverged
@@ -180,31 +183,34 @@ def _starts(seed: int, n: int, dim: int):
     return logmod + 1j * (0.0 + 2.0 * np.pi * r[:, dim:])
 
 
-def _newton_block(exponents, coeffs, u0):
-    """Newton runs from the rows of u0, all at once; returns (u, residual) as
-    arrays of log coordinates and log-gradient max-norms, with residual inf
-    on rows that did not converge.
+def _newton(exponents, coeffs, u0):
+    """Newton runs from the rows of u0; returns (u, residual) as arrays of
+    log coordinates and log-gradient max-norms, with residual inf on rows
+    that did not converge.
 
-    Once a row's residual drops below NEWTON_TOL the iteration keeps
-    polishing while it still improves: near a degenerate critical point
-    convergence is only linear, and stopping at the first sub-tolerance
-    iterate would leave samples scattered at the square root of the
-    tolerance. A row stops when it escapes (|Re u| > 50), its residual is not
-    finite, it stops improving or leaves the basin after a sub-tolerance
-    iterate (keeping the best one), its polish steps run out, or its Hessian
-    is singular.
+    The rows run in one pool of at most _BLOCK active rows, refilled from
+    the queue of u0 whenever fewer are active; each row stops after its own
+    MAX_ITERS + _POLISH_STEPS evaluations. Once a row's residual drops below
+    NEWTON_TOL the iteration keeps polishing while it still improves: near a
+    degenerate critical point convergence is only linear, and stopping at
+    the first sub-tolerance iterate would leave samples scattered at the
+    square root of the tolerance. A row also stops when it escapes
+    (|Re u| > 50), its residual is not finite, it stops improving or leaves
+    the basin after a sub-tolerance iterate (keeping the best one), its
+    polish steps run out, or its Hessian is singular.
     """
     n = len(u0)
     best_u = np.zeros_like(u0)  # rows that never converge are dropped later
     best_res = np.full(n, np.inf)
     polish_left = np.full(n, _POLISH_STEPS)
-    rows = np.arange(n)
-    u = u0
-    for _ in range(MAX_ITERS + _POLISH_STEPS):
+    evals_left = np.full(n, MAX_ITERS + _POLISH_STEPS)
+    rows, u, queued = np.arange(0), u0[:0], 0
+    while rows.size or queued < n:
+        fill = min(n, queued + _BLOCK - rows.size)
+        rows, u = np.concatenate([rows, np.arange(queued, fill)]), np.concatenate([u, u0[queued:fill]])
+        queued = fill
         inside = ~np.any(np.abs(u.real) > _ESCAPE, axis=1)
         rows, u = rows[inside], u[inside]
-        if rows.size == 0:
-            break
         t = _terms(exponents, coeffs, u)
         g = _gradient(exponents, t)
         residual = np.max(np.abs(g), axis=1)
@@ -214,11 +220,13 @@ def _newton_block(exponents, coeffs, u0):
         best_u[hit] = u[improved]
         best_res[hit] = residual[improved]
         polish_left[hit] -= 1
+        evals_left[rows] -= 1
         stop = (
             ~np.isfinite(residual)
             | (below & ~improved)
             | (~below & np.isfinite(best_res[rows]))
             | (improved & ((polish_left[rows] <= 0) | (residual == 0.0)))
+            | (evals_left[rows] == 0)
         )
         rows, u, t, g = rows[~stop], u[~stop], t[~stop], g[~stop]
         step, solvable = _newton_steps(_hessian(exponents, t), g)
@@ -262,24 +270,45 @@ def _merge(X, R, sizes, tol):
     within relative distance tol in every complex coordinate; a row with a
     lower residual R becomes the centre. Returns the kept clusters in order,
     as dicts of their first row, centre row and summed size.
+
+    Near rows differ in the real and in the imaginary part of coordinate k by
+    at most the largest radius tol * |x_k| of that coordinate. So rows that a
+    gap of twice it (the factor 2 absorbs rounding) splits apart along any of
+    the 2 * dim sorted parts are never near, and no cluster spans two cells of
+    these cuts: each cell merges alone, its rows in order. A cell whose rows
+    all lie within a quarter of its smallest radius of its first row is one
+    cluster, centred at its first row of least residual; any other cell folds
+    its rows one at a time, against its own centres only.
     """
+    if not len(X):
+        return []
     # tol * max(|c|, |x|) is the larger of tol * |c| and tol * |x|, bit for bit
-    radii = tol * np.abs(X)
-    centres, centre_radii = np.empty_like(X), np.empty_like(radii)
-    R, kept = R.tolist(), []
-    for i, (x, r) in enumerate(zip(X, radii)):
-        n = len(kept)
-        near = (np.abs(centres[:n] - x) <= np.maximum(centre_radii[:n], r)).all(axis=1)
-        j = int(near.argmax()) if n else 0
-        if n and near[j]:
-            cl = kept[j]
-            cl["size"] += sizes[i]
-            if R[i] < R[cl["centre"]]:
-                cl["centre"], centres[j], centre_radii[j] = i, x, r
-        else:
-            centres[n], centre_radii[n] = x, r
-            kept.append({"first": i, "centre": i, "size": sizes[i]})
-    return kept
+    radii, sizes, cell = tol * np.abs(X), np.asarray(sizes), np.zeros(len(X), dtype=np.intp)
+    for part, radius in zip(np.concatenate([X.real, X.imag], axis=1).T, np.tile(radii.max(axis=0), 2)):
+        order = np.argsort(part, kind="stable")
+        cut = np.empty_like(cell)
+        cut[order] = np.cumsum(np.diff(part[order], prepend=part[order[0]]) > 2 * radius)
+        cell = np.unique(cell * len(X) + cut, return_inverse=True)[1]  # dense ids: no overflow
+    order = np.argsort(cell, kind="stable")
+    kept = []
+    for rows in np.split(order, np.flatnonzero(np.diff(cell[order])) + 1):
+        if (np.abs(X[rows] - X[rows[0]]) <= radii[rows].min(axis=0) / 4).all():
+            kept.append({"first": rows[0], "centre": rows[R[rows].argmin()], "size": int(sizes[rows].sum())})
+            continue
+        centres, centre_radii, start = np.empty_like(X[rows]), np.empty_like(radii[rows]), len(kept)
+        for i in rows:
+            x, r, n = X[i], radii[i], len(kept) - start
+            near = (np.abs(centres[:n] - x) <= np.maximum(centre_radii[:n], r)).all(axis=1)
+            j = int(near.argmax()) if n else 0
+            if n and near[j]:
+                cl = kept[start + j]
+                cl["size"] += int(sizes[i])
+                if R[i] < R[cl["centre"]]:
+                    cl["centre"], centres[j], centre_radii[j] = i, x, r
+            else:
+                centres[n], centre_radii[n] = x, r
+                kept.append({"first": i, "centre": i, "size": int(sizes[i])})
+    return sorted(kept, key=lambda cl: cl["first"])
 
 
 def _rational_point(coords) -> tuple[Fraction, ...] | None:
@@ -295,9 +324,10 @@ def _rational_point(coords) -> tuple[Fraction, ...] | None:
     return tuple(out)
 
 
-def _snap_rational(W, coords, tol) -> tuple[Fraction, ...] | None:
-    """Round near-real coordinates to small-denominator rationals and accept
-    the result only when the exact log-gradient there is identically zero.
+def _snap_rational(coords, tol) -> tuple[Fraction, ...] | None:
+    """Round near-real coordinates to small-denominator rationals; `solve`
+    accepts the result only when the exact log-gradient there is identically
+    zero.
 
     The exact-zero requirement means a generous tol cannot produce a wrong
     certificate; it can only attach a blob of samples to a genuine critical
@@ -311,21 +341,20 @@ def _snap_rational(W, coords, tol) -> tuple[Fraction, ...] | None:
         return None
     if any(abs(float(s) - complex(z).real) > tol * max(1.0, abs(float(s))) for s, z in zip(snapped, coords)):
         return None
-    if any(g != 0 for g in potential.log_gradient(W, snapped)):
-        return None
     return snapped
 
 
-def _exact_point(W: Superpotential, rational, cluster_size: int) -> CriticalPoint:
-    residual = float(max(abs(g) for g in potential.log_gradient(W, rational)))
-    rank = _exact.rank([list(row) for row in potential.hessian_affine(W, rational)])
+def _exact_point(rational, jet, cluster_size: int) -> CriticalPoint:
+    """A rational point's report from its `potential.jet`, computed once."""
+    value, gradient, hessian = jet
+    rank = _exact.rank([list(row) for row in hessian])
     return CriticalPoint(
         coords=tuple(complex(float(x), 0.0) for x in rational),
-        residual=residual,
+        residual=float(max(abs(g) for g in gradient)),
         hessian_rank=rank,
-        nondegenerate=rank == W.dim,
+        nondegenerate=rank == len(rational),
         cluster_size=cluster_size,
-        value=complex(potential.eval(W, rational)),
+        value=complex(value),
         exact=True,
     )
 
@@ -346,13 +375,11 @@ def solve(W: Superpotential, expected_count: int, cfg: SolverConfig = SolverConf
     what default_rng([seed, k]) would draw, bit for bit, from one vectorised
     pass over all k (`_starts`); numpy.random is never loaded. Every row of
     the batched Newton kernel runs independently, so results do not depend
-    on how the starts are split into blocks.
+    on the width of its pool.
     """
     exponents, coeffs = _arrays(W)
     n_starts = cfg.starts if cfg.starts is not None else 200 * expected_count
-    u0 = _starts(cfg.seed & 0xFFFFFFFFFFFFFFFF, n_starts, W.dim)
-    blocks = [_newton_block(exponents, coeffs, u0[lo : lo + _BLOCK]) for lo in range(0, n_starts, _BLOCK)]
-    us, R = (np.concatenate(parts) for parts in zip(*blocks))
+    us, R = _newton(exponents, coeffs, _starts(cfg.seed, n_starts, W.dim))
     X, R = np.exp(us[np.isfinite(R)]), R[np.isfinite(R)]
     # canonical order: real, then imaginary part of each coordinate, then residual
     order = np.lexsort([R] + [part for z in X.T[::-1] for part in (z.imag, z.real)])
@@ -379,9 +406,10 @@ def solve(W: Superpotential, expected_count: int, cfg: SolverConfig = SolverConf
     points = []
     for first in sorted(centre_of):
         point = numeric[centre_of[first]]
-        snapped = _snap_rational(W, point.coords, CLUSTER_TOL if point.nondegenerate else wide_tol)
-        if snapped is not None:
-            points.append(_exact_point(W, snapped, sizes[first]))
+        snapped = _snap_rational(point.coords, CLUSTER_TOL if point.nondegenerate else wide_tol)
+        jet = potential.jet(W, snapped) if snapped else None
+        if jet and not any(jet[1]):
+            points.append(_exact_point(snapped, jet, sizes[first]))
         elif point.residual < NEWTON_TOL:
             points.append(replace(point, cluster_size=sizes[first]))
     points.sort(key=lambda p: _coord_key(p.coords))
@@ -402,7 +430,7 @@ def verify_point(W: Superpotential, p) -> CriticalPoint:
     """
     rational = _rational_point(p)
     if rational is not None:
-        point = _exact_point(W, rational, cluster_size=1)
+        point = _exact_point(rational, potential.jet(W, rational), cluster_size=1)
     else:
         point = _numeric_points(*_arrays(W), [tuple(complex(z) for z in p)])[0]
     if point.residual >= NEWTON_TOL:

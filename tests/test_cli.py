@@ -290,6 +290,14 @@ def test_malformed_values_are_errors_not_tracebacks(argv, code, capsys):
     assert "error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["solve", "spectrum"])
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "18446744073709551617"])
+def test_a_seed_default_rng_would_reject_or_alias_is_a_usage_error(command, seed, capsys):
+    code, out, err = run(capsys, command, "cp2", "--seed", seed)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: --seed: seed must be in [0, 2**64)")
+
+
 def test_a_non_isolated_critical_locus_names_no_setting(capsys):
     # bl_points_3's W has curves of critical points (ROADMAP item 4)
     code, out, err = run(capsys, "solve", "bl_points_3")

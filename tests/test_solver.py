@@ -11,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import match_complex_sets, match_point_sets, roots_of_unity
-from toricqh import corpus, solver, spectra
+from toricqh import corpus, potential, solver, spectra
 from toricqh.cli import run_cli
 from toricqh.errors import NotCritical, OverCount
 from toricqh.fan import kushnirenko_bound
@@ -142,6 +144,26 @@ def test_starts_equal_default_rng_per_index(seed):
         assert got[k].tobytes() == expected.tobytes(), k
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+def test_seeds_outside_the_default_rng_range_are_rejected(seed):
+    # default_rng rejects negative seeds; a mask to 64 bits would alias the rest
+    with pytest.raises(ValueError, match="seed must be in"):
+        SolverConfig(seed=seed)
+    assert SolverConfig(seed=2**64 - 1).seed == 2**64 - 1
+
+
+def test_each_snapped_point_is_certified_from_one_exact_evaluation(monkeypatch):
+    calls = []
+    term_values = potential._term_values
+    monkeypatch.setattr(potential, "_term_values", lambda W, p: calls.append(p) or term_values(W, p))
+    fan, F = corpus.build("bl_points_5")
+    W = build_potential(fan, F)
+    report = solve(W, kushnirenko_bound(fan), SolverConfig(seed=309474798, starts=600))
+    assert len(calls) == sum(p.exact for p in report.points) > 20
+    calls.clear()
+    assert verify_point(W, (-1,) * 5).exact and len(calls) == 1
+
+
 def test_solve_never_loads_numpy_random():
     probe = (
         "import sys\n"
@@ -161,7 +183,7 @@ def test_no_converged_start_gives_an_empty_report(monkeypatch):
     def diverged(exponents, coeffs, u0):
         return u0, np.full(len(u0), np.inf)
 
-    monkeypatch.setattr(solver, "_newton_block", diverged)
+    monkeypatch.setattr(solver, "_newton", diverged)
     W, expected = build("cp2")
     report = solve(W, expected, SolverConfig(seed=0, starts=50))
     assert report.points == () and report.verdict is Verdict.UNDETERMINED
@@ -236,18 +258,34 @@ def _reference_newton_run(exponents, coeffs, u0, tol, max_iters):
 
 
 def _reference_merge(samples, tol):
-    """First-match merge by complex modulus, one pair of points at a time."""
+    """First-match merge by complex modulus, one pair of points at a time,
+    over (coords, residual, size) samples."""
     clusters = []
-    for coords, res in samples:
+    for k, (coords, res, size) in enumerate(samples):
         for cl in clusters:
             if all(abs(a - b) <= tol * max(abs(a), abs(b)) for a, b in zip(coords, cl["coords"])):
-                cl["size"] += 1
+                cl["size"] += size
                 if res < cl["residual"]:
                     cl["coords"], cl["residual"] = coords, res
                 break
         else:
-            clusters.append({"coords": coords, "residual": res, "size": 1})
+            clusters.append({"first": k, "coords": coords, "residual": res, "size": size})
     return clusters
+
+
+def _assert_merge_agrees(samples, tol):
+    """`_merge` on the canonically sorted samples equals `_reference_merge`;
+    returns the clusters."""
+    samples = sorted(samples, key=lambda item: (solver._coord_key(item[0]), item[1]))
+    X = np.array([c for c, _, _ in samples], dtype=complex)
+    R = np.array([r for _, r, _ in samples])
+    got = [
+        {"first": cl["first"], "coords": samples[cl["centre"]][0], "residual": R[cl["centre"]], "size": cl["size"]}
+        for cl in solver._merge(X, R, [size for _, _, size in samples], tol)
+    ]
+    expected = _reference_merge(samples, tol)
+    assert got == expected
+    return got
 
 
 def _assert_merge_matches_reference(tol):
@@ -260,17 +298,8 @@ def _assert_merge_matches_reference(tol):
         c = centres[rng.integers(len(centres))]
         noise = rng.normal(scale=0.6 * tol, size=(2, 2))
         coords = tuple(z + abs(z) * complex(*n) for z, n in zip(c, noise))
-        samples.append((coords, float(rng.uniform(1e-16, 1e-13))))
-    samples.sort(key=lambda item: (solver._coord_key(item[0]), item[1]))
-    expected = _reference_merge(samples, tol)
-    X = np.array([c for c, _ in samples])
-    R = np.array([r for _, r in samples])
-    got = [
-        {"coords": samples[cl["centre"]][0], "residual": R[cl["centre"]], "size": cl["size"]}
-        for cl in solver._merge(X, R, [1] * len(samples), tol)
-    ]
-    assert len(expected) > len(centres)
-    assert got == expected
+        samples.append((coords, float(rng.uniform(1e-16, 1e-13)), 1))
+    assert len(_assert_merge_agrees(samples, tol)) > len(centres)
 
 
 def test_merge_matches_scalar_reference():
@@ -282,6 +311,60 @@ def test_wide_merge_matches_scalar_reference():
     _assert_merge_matches_reference(1e-3)
 
 
+def _merge_cases(tol):
+    """Samples that each stress one step of the cell-by-cell merge."""
+    rng = np.random.default_rng(7)
+
+    def res():
+        return float(rng.uniform(1e-16, 1e-13))
+
+    chain = [1 + 0.9 * tol * k for k in range(12)]  # each row within tol of the next only
+    return {
+        "equal first coordinate": [((1 + 1j, 2 + 3j * tol * k), res(), 1) for k in (0, 1, 0, 2, 1, 0)],
+        "chain, centre moves": [((x, 1j), 1e-13 - 1e-15 * k, 1) for k, x in enumerate(chain)],
+        "chain, centre stays": [((x, 1j), 1e-15 * (k + 1), 1) for k, x in enumerate(chain)],
+        "chain, mixed residuals": [((x, 1j), res(), 1) for x in chain],
+        "far outlier": [((math.exp(49) * (0.6 + 0.8j), 1 + 0j), res(), 1)]
+        + [((1 + 0.3 * tol * k, 1 + 0j), res(), 1) for k in range(8)],
+        "tied duplicates": [((0.5j, 4 + 0j), 1e-14, 1)] * 3
+        + [((0.5j, 4 + 0.8 * tol), 1e-14, 1)] * 2
+        + [((0.5j, 4 + 0j), 1e-15, 1)] * 2,
+        "sizes above 1": [((x, 1j), res(), int(rng.integers(2, 6))) for x in chain]
+        + [((1 + 1j, 2 + 0j), res(), 3)] * 2,
+    }
+
+
+@pytest.mark.parametrize("tol", [solver.CLUSTER_TOL, 1e-3])
+@pytest.mark.parametrize("case", list(_merge_cases(1e-6)))
+def test_merge_cases_match_scalar_reference(case, tol):
+    clusters = _assert_merge_agrees(_merge_cases(tol)[case], tol)
+    if case == "chain, centre moves":
+        assert len(clusters) == 1
+    if case == "chain, centre stays":
+        assert len(clusters) > 2
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 3),
+    n_centres=st.integers(1, 4),
+    spread=st.sampled_from([0.05, 0.3, 1.0, 3.0]),
+    tol=st.sampled_from([solver.CLUSTER_TOL, 1e-3]),
+)
+def test_merge_matches_scalar_reference_on_clustered_rows(seed, dim, n_centres, spread, tol):
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(-2, 2, (n_centres, dim)) + 1j * rng.uniform(-2, 2, (n_centres, dim))
+    centres[-1, 0] = centres[0, 0]  # two centres may share their first coordinate
+    samples = []
+    for _ in range(int(rng.integers(1, 80))):
+        c = centres[rng.integers(n_centres)]
+        z = c + np.abs(c) * spread * tol * (rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        residual = float(rng.choice([1e-15, 1e-14, rng.uniform(1e-16, 1e-13)]))
+        samples.append((tuple(z.tolist()), residual, int(rng.integers(1, 4))))
+    _assert_merge_agrees(samples, tol)
+
+
 def _seeded_starts(dim, n, seed=3):
     rng = np.random.default_rng(seed)
     return rng.uniform(np.log(0.5), np.log(2.0), (n, dim)) + 1j * rng.uniform(0.0, 2.0 * np.pi, (n, dim))
@@ -289,7 +372,7 @@ def _seeded_starts(dim, n, seed=3):
 
 def _assert_kernel_matches_reference(W, u0):
     exponents, coeffs = solver._arrays(W)
-    us, residuals = solver._newton_block(exponents, coeffs, u0)
+    us, residuals = solver._newton(exponents, coeffs, u0)
     outcomes = []
     for row, u, residual in zip(u0, us, residuals):
         ref = _reference_newton_run(exponents, coeffs, row, solver.NEWTON_TOL, solver.MAX_ITERS)
@@ -311,6 +394,21 @@ def test_newton_kernel_matches_scalar_reference(name):
     outcomes = _assert_kernel_matches_reference(W, u0)
     assert not outcomes[5] and not outcomes[6]
     assert sum(outcomes) > 250
+
+
+def test_newton_pool_refills_and_caps_each_row(monkeypatch):
+    # 300 starts through 16 active rows: rows join as others stop, and each
+    # row, however late it joins, stops after its own MAX_ITERS + 30
+    # evaluations, which at MAX_ITERS = 5 cuts some runs short
+    W, _ = build("u8")
+    exponents, coeffs = solver._arrays(W)
+    u0 = _seeded_starts(W.dim, 300)
+    uncapped = [_reference_newton_run(exponents, coeffs, row, solver.NEWTON_TOL, solver.MAX_ITERS) for row in u0]
+    monkeypatch.setattr(solver, "_BLOCK", 16)
+    monkeypatch.setattr(solver, "MAX_ITERS", 5)
+    outcomes = _assert_kernel_matches_reference(W, u0)
+    cut_short = [i for i, (ok, ref) in enumerate(zip(outcomes, uncapped)) if ref is not None and not ok]
+    assert sum(outcomes) > 250 and max(cut_short) > 200  # rows that joined long after the first 16
 
 
 def test_newton_kernel_singular_hessian_rows_stop_alone():
