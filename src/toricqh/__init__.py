@@ -11,17 +11,16 @@ __version__ = "0.1.0"
 
 # public name -> the module that defines it, listed module by module
 _LAZY = {name: module for module, names in (
-    ("batyrev", "Presentation emit_presentation linear_ideal presentation quantum_sr_generators"),
-    ("corpus", "CatalogEntry PolytopeFile catalog entry parse_polytope serialize_polytope"),
-    ("fan", "Cone Fan fan_from_reflexive fan_product is_complete is_smooth minimal_cone_containing "
+    ("batyrev", "Presentation linear_ideal presentation quantum_sr_generators"),
+    ("corpus", "CatalogEntry PolytopeFile catalog entry parse_polytope"),
+    ("fan", "Cone Fan fan_from_reflexive is_complete is_smooth minimal_cone_containing "
             "primitive_collections"),
     ("lattice", "Facet Polytope convex_hull_facets dual_polytope is_delzant is_reflexive lattice_points "
-                "normalized_volume polytope_product"),
+                "normalized_volume"),
     ("newton", "ValuedPoly blowup_family lower_hull quasimorphism_report root_valuations"),
     ("potential", "Superpotential build_potential"),
     ("support", "SupportFunction is_strictly_convex moment_polytope monotone_support support_from_polytope"),
     ("solver", "CriticalPoint SolveReport SolverConfig Verdict classify solve verify_point"),
-    ("spectra", "Spectrum cp_closed_form critical_values"),
 ) for name in names.split()}
 
 __all__ = list(_LAZY)

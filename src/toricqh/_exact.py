@@ -110,13 +110,6 @@ def integer_kernel(rows, ncols) -> tuple[list[list[int]], int]:
     return basis, d
 
 
-def kernel(rows, ncols) -> list[RatVec]:
-    """Basis of the right kernel of the given rows in ambient dimension ncols,
-    read off the reduced row echelon form."""
-    basis, d = integer_kernel(rows, ncols)
-    return [tuple(Fraction(x, d) for x in v) for v in basis]
-
-
 def primitive(v) -> IntVec:
     """Scale a nonzero rational vector by a positive factor to coprime integers."""
     if not any(v):

@@ -42,10 +42,6 @@ class QuantumRelation:
     a: tuple[tuple[int, int], ...]  # (ray index, multiplicity), sorted
     s_values: tuple[tuple[int, Fraction], ...]  # F(n_rho) for rho in C and sigma_C
 
-    @property
-    def q_exponents(self) -> tuple[int, int]:
-        return len(self.collection), sum(m for _, m in self.a)
-
 
 @dataclass(frozen=True)
 class Presentation:
@@ -147,10 +143,11 @@ def render_text(p: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_json_dict(p: Presentation) -> dict:
+def to_json(p: Presentation) -> str:
+    """The presentation in a stable JSON schema."""
     if not p.quantum:
         raise AssertionError("complete fans always carry at least one quantum relation")
-    return {
+    return json.dumps({
         "rays": [list(r) for r in p.rays],
         "linear": [{"m": list(rel.m), "coeffs": list(rel.coefficients)} for rel in p.linear],
         "quantum": [
@@ -163,36 +160,4 @@ def to_json_dict(p: Presentation) -> dict:
             for rel in p.quantum
         ],
         "c1": "sum of all z",
-    }
-
-
-def emit_presentation(p: Presentation, format: str = "text") -> str:
-    """Serialize to 'text' (display monomials) or 'json' (stable schema)."""
-    if format == "text":
-        return render_text(p)
-    if format == "json":
-        return json.dumps(to_json_dict(p), sort_keys=True, indent=1)
-    raise ValueError(f"unknown format {format!r}")
-
-
-def presentation_from_json(text: str, support_values=None) -> Presentation:
-    """Inverse of the JSON emitter; support values are recovered from the
-    relation data (rays not appearing in any relation keep the value given
-    in `support_values`, defaulting to -1 each)."""
-    data = json.loads(text)
-    rays = tuple(tuple(r) for r in data["rays"])
-    values = list(support_values) if support_values is not None else [Fraction(-1)] * len(rays)
-    linear = tuple(
-        LinearRelation(tuple(rel["m"]), tuple(rel["coeffs"])) for rel in data["linear"]
-    )
-    quantum = []
-    for rel in data["quantum"]:
-        collection = tuple(rel["C"])
-        sigma = tuple(rel["sigmaC"])
-        a = tuple(sorted((int(k), v) for k, v in rel["a"].items()))
-        involved = sorted(set(collection) | set(sigma))
-        s_values = tuple(zip(involved, (Fraction(s) for s in rel["sF"])))
-        for i, v in s_values:
-            values[i] = v
-        quantum.append(QuantumRelation(collection, sigma, a, s_values))
-    return Presentation(rays, tuple(values), linear, tuple(quantum))
+    }, sort_keys=True, indent=1)

@@ -6,7 +6,7 @@ catalog entry's rays, as moment-polytope vertices instead). Exit codes:
 0 success, 1 domain error, 2 parse/usage error.
 
 The layers every target needs load with this module; batyrev, potential,
-newton, and solver and spectra with numpy, load in the commands that use them.
+newton, and solver with numpy, load in the commands that use them.
 """
 
 import argparse
@@ -167,10 +167,10 @@ def _cmd_presentation(args) -> int:
             )
     pres = batyrev.presentation(fan, F)
     if args.json:
-        print(batyrev.emit_presentation(pres, "json"))
+        print(batyrev.to_json(pres))
     else:
         print(f"input: {label}")
-        sys.stdout.write(batyrev.emit_presentation(pres, "text"))
+        sys.stdout.write(batyrev.render_text(pres))
     return 0
 
 
@@ -222,18 +222,17 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    from . import spectra
+    from . import solver
 
     label, report = _solve_target(args)
-    spectrum = spectra.critical_values(report)
     if args.json:
-        print(spectra.to_json(spectrum))
+        print(solver.spectrum_to_json(report))
         return 0
     print(f"input: {label}")
     print("eigenvalues of multiplication by q^-1 c1 (critical values of W):")
-    for e in spectrum.entries:
-        flag = "  [degenerate, multiplicity lower bound 1]" if e.degenerate else ""
-        print(f"  {_fmt_value(e.value)}{flag}")
+    for value, degenerate in report.spectrum:
+        flag = "  [degenerate, multiplicity lower bound 1]" if degenerate else ""
+        print(f"  {_fmt_value(value)}{flag}")
     if report.deficit:
         print(
             f"note: deficit {report.deficit} of {report.expected_count} "

@@ -65,12 +65,6 @@ def parse_polytope(text: str) -> PolytopeFile:
     return PolytopeFile(dim, count, tuple(rows))
 
 
-def serialize_polytope(pf: PolytopeFile) -> str:
-    lines = [f"{pf.dim} {pf.count}"]
-    lines += [" ".join(str(x) for x in row) for row in pf.rows]
-    return "\n".join(lines) + "\n"
-
-
 def cp_vertices(d: int) -> tuple[IntVec, ...]:
     """Ray polytope of projective d-space: the standard basis plus -(1..1)."""
     basis = [tuple(int(i == j) for j in range(d)) for i in range(d)]

@@ -1,6 +1,6 @@
 """Complete fans over the faces of reflexive polytopes, and their
 combinatorial predicates: smoothness, completeness, minimal-cone location,
-primitive collections, products.
+primitive collections.
 
 Only simplicial fans are supported. A fan is its rays and its maximal cones;
 a cone is the sorted tuple of its ray indices, and every face of a maximal
@@ -145,13 +145,3 @@ def kushnirenko_bound(f: Fan) -> int:
     vol = normalized_volume(Polytope.from_points(f.rays))
     assert vol.denominator == 1
     return int(vol)
-
-
-def fan_product(f: Fan, g: Fan) -> Fan:
-    """Product fan: embedded rays of both factors, cones are products."""
-    zeros_g = (0,) * g.dim
-    zeros_f = (0,) * f.dim
-    rays = [r + zeros_g for r in f.rays] + [zeros_f + r for r in g.rays]
-    shift = len(f.rays)
-    maximal = [a + tuple(i + shift for i in b) for a in f.maximal_cones for b in g.maximal_cones]
-    return Fan(f.dim + g.dim, rays, maximal)

@@ -194,14 +194,6 @@ def lattice_points(P: Polytope) -> list[IntVec]:
     return points
 
 
-def interior_lattice_points(P: Polytope) -> list[IntVec]:
-    return [
-        p
-        for p in lattice_points(P)
-        if all(dot(p, f.normal) > f.offset for f in P.facets)
-    ]
-
-
 def _adjacent_vertices(P: Polytope) -> dict[RatVec, list[RatVec]]:
     """Vertex adjacency via facet incidence: v ~ w iff the smallest face
     containing both (P itself when no facet does) has exactly two vertices."""
@@ -265,13 +257,3 @@ def normalized_volume(P: Polytope, apex=None) -> Fraction:
         for tri in _triangulate(P, face, d - 1):
             total += abs(_exact.det([vsub(P.vertices[i], apex) for i in tri]))
     return total
-
-
-def polytope_product(P: Polytope, Q: Polytope) -> Polytope:
-    """Product polytope in the direct-sum lattice; vertices are vertex pairs."""
-    vertices = [p + q for p in P.vertices for q in Q.vertices]
-    zeros_q = (0,) * Q.dim
-    zeros_p = (0,) * P.dim
-    facets = [Facet(f.normal + zeros_q, f.offset) for f in P.facets]
-    facets += [Facet(zeros_p + f.normal, f.offset) for f in Q.facets]
-    return Polytope(P.dim + Q.dim, vertices, facets)

@@ -62,14 +62,12 @@ def _term_values(W: Superpotential, p) -> list[Fraction]:
     return [Fraction(t.coefficient) * math.prod(x ** e for x, e in zip(p, t.exponent)) for t in W.terms]
 
 
-def eval(W: Superpotential, p) -> Fraction:
-    """sum_rho b_rho p^{n_rho}."""
-    return sum(_term_values(W, p))
-
-
 def jet(W: Superpotential, p):
-    """W, `log_gradient` and `hessian_affine` at p, from one evaluation of
-    the terms."""
+    """(W, log-gradient, affine Hessian) at p over Q, from one evaluation of
+    the terms: W = sum_rho b_rho p^{n_rho}; log-gradient component i is
+    sum_rho (n_rho)_i b_rho p^{n_rho}, the derivative of W(exp(u)) along the
+    i-th logarithmic coordinate; the affine Hessian holds the ordinary second
+    partials d^2 W / dx_i dx_j."""
     values = _term_values(W, p)
     p = tuple(Fraction(x) for x in p)
     d = W.dim
@@ -88,17 +86,6 @@ def jet(W: Superpotential, p):
         for j in range(i):
             h[i][j] = h[j][i]
     return sum(values), gradient, tuple(tuple(row) for row in h)
-
-
-def log_gradient(W: Superpotential, p) -> tuple[Fraction, ...]:
-    """Component i is sum_rho (n_rho)_i b_rho p^{n_rho}: the derivative of
-    W(exp(u)) along the i-th logarithmic coordinate."""
-    return jet(W, p)[1]
-
-
-def hessian_affine(W: Superpotential, p) -> tuple[tuple[Fraction, ...], ...]:
-    """Ordinary second partials d^2 W / dx_i dx_j at p."""
-    return jet(W, p)[2]
 
 
 def render(W: Superpotential, symbolic: bool = False) -> str:

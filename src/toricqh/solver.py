@@ -81,8 +81,21 @@ class SolveReport:
     verdict: Verdict
 
     @property
+    def spectrum(self) -> tuple[tuple[complex, bool], ...]:
+        """Spectrum of multiplication by q^-1 c1 on the degree-zero quantum
+        cohomology, without forming its matrix: the eigenvalues are exactly
+        the values of W at its critical points.
+
+        One (value, degenerate) pair per point, stably sorted by `value_key`.
+        A nondegenerate point contributes multiplicity 1; a degenerate
+        point's unresolved multiplicity has lower bound 1 and is flagged.
+        """
+        pairs = ((p.value, not p.nondegenerate) for p in self.points)
+        return tuple(sorted(pairs, key=lambda e: value_key(e[0])))
+
+    @property
     def critical_values(self) -> tuple[complex, ...]:
-        return tuple(sorted((p.value for p in self.points), key=value_key))
+        return tuple(value for value, _ in self.spectrum)
 
     @property
     def found_count(self) -> int:
@@ -470,8 +483,8 @@ def _fmt_complex(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def report_to_json_dict(report: SolveReport) -> dict:
-    return {
+def report_to_json(report: SolveReport) -> str:
+    return json.dumps({
         "expected": report.expected_count,
         "found": report.found_count,
         "points": [
@@ -485,8 +498,10 @@ def report_to_json_dict(report: SolveReport) -> dict:
         ],
         "verdict": report.verdict.value,
         "critical_values": [_fmt_complex(z) for z in report.critical_values],
-    }
+    }, sort_keys=True, indent=1)
 
 
-def report_to_json(report: SolveReport) -> str:
-    return json.dumps(report_to_json_dict(report), sort_keys=True, indent=1)
+def spectrum_to_json(report: SolveReport) -> str:
+    """The spectrum as rows [re, im, multiplicity lower bound, degenerate]."""
+    rows = [[z.real, z.imag, 1, degenerate] for z, degenerate in report.spectrum]
+    return json.dumps({"values": rows}, sort_keys=True)

@@ -62,32 +62,6 @@ def is_strictly_convex(F: SupportFunction) -> tuple[bool, tuple[Cone, int] | Non
     return True, None
 
 
-def convexity_margin(F: SupportFunction) -> Fraction:
-    """Largest sup-norm perturbation of the values guaranteed to preserve
-    strict convexity.
-
-    Each slack <m_sigma, n_rho> - F(n_rho) moves by at most
-    (1 + sum |c|) * eps under an eps-perturbation, where c are the
-    coordinates of n_rho in sigma's ray basis; the margin divides each slack
-    by that sensitivity and takes the minimum.
-    """
-    fan = F.fan
-    margin = None
-    for cone in fan.maximal_cones:
-        form = F.cone_forms[cone]
-        matrix = list(zip(*fan.ray_matrix(cone)))
-        members = set(cone)
-        for i, ray in enumerate(fan.rays):
-            if i in members:
-                continue
-            slack = _exact.dot(form, ray) - F.values[i]
-            coords = _exact.solve(matrix, ray)
-            sensitivity = 1 + sum(abs(c) for c in coords)
-            bound = slack / sensitivity
-            margin = bound if margin is None else min(margin, bound)
-    return margin
-
-
 def moment_polytope(F: SupportFunction) -> Polytope:
     """The polytope {m : <m, n_rho> >= F(n_rho)}, vertices solved exactly.
 

@@ -53,6 +53,23 @@ def kernel(W, u):
     return t.sum(axis=1)[0], solver._gradient(exponents, t)[0], solver._hessian(exponents, t)[0]
 
 
+def cp_closed_form(d: int):
+    """Analytic oracle for projective d-space: the critical points of
+    sum x_j + prod 1/x_j have all coordinates equal to a (d+1)-st root of
+    unity zeta, where W evaluates to (d+1) zeta. The values come sorted by
+    value_key, in the order of `SolveReport.spectrum`."""
+    from toricqh.solver import value_key
+
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    values = []
+    for k in range(d + 1):
+        zeta = cmath.exp(2j * cmath.pi * k / (d + 1))
+        values.append((d + 1) * zeta)
+    values.sort(key=value_key)
+    return tuple(values)
+
+
 def roots_of_unity(n):
     return [cmath.exp(2j * cmath.pi * k / n) for k in range(n)]
 

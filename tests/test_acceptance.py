@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import kernel, match_complex_sets, match_point_sets
+from conftest import cp_closed_form, kernel, match_complex_sets, match_point_sets
 from toricqh import corpus, solver
 from toricqh._exact import affine_rank, ratvec
 from toricqh.batyrev import presentation
@@ -23,8 +23,9 @@ from toricqh.lattice import (
     lattice_points,
     normalized_volume,
 )
-from toricqh.potential import build_potential, hessian_affine
+from toricqh.potential import build_potential, jet
 from toricqh.solver import (
+    SolveReport,
     SolverConfig,
     Verdict,
     classify,
@@ -32,7 +33,6 @@ from toricqh.solver import (
     solve,
     verify_point,
 )
-from toricqh.spectra import cp_closed_form, critical_values
 from toricqh.newton import blowup_family, quasimorphism_report, root_valuations
 
 COORD_TOL = 1e-8
@@ -62,7 +62,7 @@ def test_criterion_02_u8_degenerate_point(u8):
     W = build_potential(fan, F)
     cp = verify_point(W, (-1, -1, -1, 1))
     assert cp.exact and cp.residual == 0.0
-    hess = hessian_affine(W, (-1, -1, -1, 1))
+    hess = jet(W, (-1, -1, -1, 1))[2]
     published = ((-2, 0, 0, -1), (0, -4, 0, -2), (0, 0, -2, 1), (-1, -2, 1, -2))
     assert hess == tuple(tuple(Fraction(x) for x in row) for row in published)
     assert cp.hessian_rank == 3 and not cp.nondegenerate
@@ -140,11 +140,10 @@ def test_criterion_06_cpd_spectrum():
         fan, F = corpus.build(f"cp{d}")
         W = build_potential(fan, F)
         report = solve(W, len(fan.maximal_cones), SolverConfig(seed=0))
-        spec = critical_values(report)
-        oracle = cp_closed_form(d)
-        assert match_complex_sets(spec.values, oracle.values, tol=COORD_TOL), d
-    assert "eigenvalue" in critical_values.__doc__
-    assert "multiplication" in critical_values.__doc__
+        spec = [value for value, _ in report.spectrum]
+        assert match_complex_sets(spec, cp_closed_form(d), tol=COORD_TOL), d
+    assert "eigenvalue" in SolveReport.spectrum.__doc__
+    assert "multiplication" in SolveReport.spectrum.__doc__
     _ok(6, "projective-space spectra equal (d+1) times the (d+1)-st roots of unity")
 
 

@@ -368,7 +368,7 @@ def _src_env():
 
 def test_each_command_loads_only_the_layers_it_runs():
     commands = ["catalog", "check cp2", "fan bl1_cp2", "presentation u8 --json", "potential u8",
-                "valuations --alpha 2 --beta 1", "solve cp2 --json"]
+                "valuations --alpha 2 --beta 1", "spectrum cp2 --json", "solve cp2 --json"]
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *commands],
                           capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -377,6 +377,7 @@ def test_each_command_loads_only_the_layers_it_runs():
     with_batyrev = sorted(base + ["toricqh.batyrev"])
     with_potential = sorted(with_batyrev + ["toricqh.potential"])
     with_newton = sorted(with_potential + ["toricqh.newton"])
+    with_solver = sorted(with_newton + ["toricqh.solver"])
     # (toricqh.* modules, numpy, json, logging) after each step
     assert ast.literal_eval(proc.stdout) == [
         [["toricqh"], False, False, False],              # import toricqh
@@ -387,7 +388,8 @@ def test_each_command_loads_only_the_layers_it_runs():
         [with_batyrev, False, True, False],              # presentation u8 --json
         [with_potential, False, True, False],            # potential u8
         [with_newton, False, True, False],               # valuations
-        [sorted(with_newton + ["toricqh.solver"]), True, True, False],  # solve cp2 --json
+        [with_solver, True, True, False],                # spectrum cp2 --json
+        [with_solver, True, True, False],                # solve cp2 --json
     ]
 
 

@@ -10,7 +10,6 @@ from toricqh.errors import NotReflexive, NotSimplicial
 from toricqh.fan import (
     Fan,
     fan_from_reflexive,
-    fan_product,
     is_complete,
     is_smooth,
     kushnirenko_bound,
@@ -213,18 +212,3 @@ def test_euler_count_matches_volume_for_fano_entries():
             # subdivided fans of non-Fano blow-ups can have fewer cones
             assert vol >= len(f.maximal_cones), e.name
         assert kushnirenko_bound(f) == vol
-
-
-def test_fan_product_cp1_cp1():
-    prod = fan_product(fan_of("cp1"), fan_of("cp1"))
-    direct = fan_of("cp1xcp1")
-    assert sorted(prod.rays) == sorted(direct.rays)
-    assert len(prod.maximal_cones) == 4
-    prod_cones = {frozenset(prod.rays[i] for i in c) for c in prod.maximal_cones}
-    direct_cones = {frozenset(direct.rays[i] for i in c) for c in direct.maximal_cones}
-    assert prod_cones == direct_cones
-
-
-def test_fan_product_counts():
-    assert len(fan_product(fan_of("u8"), fan_of("cp1")).maximal_cones) == 48
-    assert len(fan_product(fan_of("cp2"), fan_of("cp1")).maximal_cones) == 6

@@ -9,13 +9,7 @@ import pytest
 from conftest import kernel
 from toricqh import corpus, solver
 from toricqh.errors import NonpositiveCoefficient
-from toricqh.potential import (
-    build_potential,
-    eval as eval_w,
-    hessian_affine,
-    log_gradient,
-    render,
-)
+from toricqh.potential import build_potential, jet, render
 from toricqh.support import SupportFunction
 
 U8_POINT = (-1, -1, -1, 1)
@@ -68,15 +62,15 @@ def test_bl_points_monomials():
 
 
 def test_eval_examples():
-    assert eval_w(build("cp2"), (1, 1)) == pytest.approx(3)
-    assert eval_w(build("u8"), U8_POINT) == Fraction(-6)
+    assert jet(build("cp2"), (1, 1))[0] == pytest.approx(3)
+    assert jet(build("u8"), U8_POINT)[0] == Fraction(-6)
     log_omega = 2j * cmath.pi / 3
     assert abs(kernel(build("cp2"), (log_omega, log_omega))[0] - 3 * cmath.exp(log_omega)) < 1e-14
 
 
 def test_eval_rejects_zero_coordinate():
     with pytest.raises(ValueError):
-        eval_w(build("cp2"), (0, 1))
+        jet(build("cp2"), (0, 1))
 
 
 def test_log_gradient_cp2_root_of_unity():
@@ -86,7 +80,7 @@ def test_log_gradient_cp2_root_of_unity():
 
 
 def test_log_gradient_u8_exact_zero():
-    g = log_gradient(build("u8"), U8_POINT)
+    g = jet(build("u8"), U8_POINT)[1]
     assert g == (Fraction(0),) * 4
     _, g_float, _ = kernel(build("u8"), np.log(np.array(U8_POINT, dtype=complex)))
     assert max(abs(z) for z in g_float) < 1e-12
@@ -99,7 +93,7 @@ def test_log_hessian_symmetry_and_cp2_value():
 
 
 def test_affine_hessian_u8_matches_published_matrix():
-    h = hessian_affine(build("u8"), U8_POINT)
+    h = jet(build("u8"), U8_POINT)[2]
     assert h == tuple(tuple(Fraction(x) for x in row) for row in U8_HESSIAN)
 
 
@@ -107,7 +101,7 @@ def test_hessian_rank_agreement_at_critical_point():
     from toricqh._exact import rank
 
     W = build("u8")
-    affine = hessian_affine(W, U8_POINT)
+    affine = jet(W, U8_POINT)[2]
     point = solver._numeric_points(*solver._arrays(W), [U8_POINT])[0]
     assert point.residual < solver.NEWTON_TOL
     assert rank([list(r) for r in affine]) == point.hessian_rank == 3
@@ -118,9 +112,9 @@ def test_log_hessian_is_affine_conjugated_by_coordinates():
     W = build("cp2")
     p = (1.0, 1.0)
     _, _, logh = kernel(W, np.log(p))
-    aff = np.array(hessian_affine(W, p), dtype=float)
+    aff = np.array(jet(W, p)[2], dtype=float)
     D = np.diag(p)
-    grad = np.array(log_gradient(W, p), dtype=float)
+    grad = np.array(jet(W, p)[1], dtype=float)
     assert np.allclose(logh, D @ aff @ D + np.diag(grad))
 
 
@@ -175,11 +169,11 @@ def test_affine_hessian_matches_finite_differences():
     h = Fraction(1, 10**6)
 
     def affine_grad(q, i):
-        return log_gradient(W, tuple(q))[i] / q[i]
+        return jet(W, tuple(q))[1][i] / q[i]
 
     for _ in range(20):
         p = [Fraction(rng.uniform(0.5, 2)).limit_denominator(1000) for _ in range(W.dim)]
-        hess = hessian_affine(W, tuple(p))
+        hess = jet(W, tuple(p))[2]
         for j in range(W.dim):
             pp, pm = list(p), list(p)
             pp[j] += h

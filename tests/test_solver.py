@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import match_complex_sets, match_point_sets, roots_of_unity
-from toricqh import corpus, potential, solver, spectra
+from toricqh import corpus, potential, solver
 from toricqh.cli import run_cli
 from toricqh.errors import NotCritical, OverCount
 from toricqh.fan import kushnirenko_bound
@@ -28,6 +28,7 @@ from toricqh.solver import (
     classify,
     report_to_json,
     solve,
+    spectrum_to_json,
     verify_point,
 )
 
@@ -202,7 +203,7 @@ def test_solve_matches_golden_reports(case):
     W = build_potential(fan, F)
     report = solve(W, case["expected"], SolverConfig(seed=case["seed"], starts=case["starts"]))
     assert report_to_json(report) == case["solve_json"]
-    assert spectra.to_json(spectra.critical_values(report)) == case["spectrum_json"]
+    assert spectrum_to_json(report) == case["spectrum_json"]
 
 
 def test_critical_value_order_ignores_the_last_bits():
@@ -219,7 +220,7 @@ def test_critical_value_order_ignores_the_last_bits():
             for p, to in zip(report.points, directions)
         ))
         assert [z.imag for z in nudged.critical_values] == order
-        assert [e.value.imag for e in spectra.critical_values(nudged).entries] == order
+        assert [value.imag for value, _ in nudged.spectrum] == order
 
 
 def _reference_newton_run(exponents, coeffs, u0, tol, max_iters):

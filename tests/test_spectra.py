@@ -3,53 +3,56 @@ import json
 
 import pytest
 
-from conftest import match_complex_sets
+from conftest import cp_closed_form, match_complex_sets
 from toricqh import corpus
 from toricqh.potential import build_potential
-from toricqh.solver import SolverConfig, solve, verify_point, SolveReport, Verdict
-from toricqh.spectra import cp_closed_form, critical_values, to_json
+from toricqh.solver import SolverConfig, solve, spectrum_to_json, verify_point, SolveReport, Verdict
 
 
 def spectrum_of(name, seed=0, starts=None):
     fan, F = corpus.build(name)
     W = build_potential(fan, F)
     report = solve(W, len(fan.maximal_cones), SolverConfig(seed=seed, starts=starts))
-    return W, report, critical_values(report)
+    return W, report, report.spectrum
+
+
+def values(spectrum):
+    return [value for value, _ in spectrum]
 
 
 def test_cp_closed_form_small():
-    assert match_complex_sets(cp_closed_form(1).values, [2, -2], tol=1e-12)
+    assert match_complex_sets(cp_closed_form(1), [2, -2], tol=1e-12)
     omega = cmath.exp(2j * cmath.pi / 3)
-    assert match_complex_sets(cp_closed_form(2).values, [3, 3 * omega, 3 * omega.conjugate()], tol=1e-12)
-    assert all(abs(abs(v) - 5) < 1e-12 for v in cp_closed_form(4).values)
+    assert match_complex_sets(cp_closed_form(2), [3, 3 * omega, 3 * omega.conjugate()], tol=1e-12)
+    assert all(abs(abs(v) - 5) < 1e-12 for v in cp_closed_form(4))
 
 
 def test_cp1_spectrum():
     _, _, spec = spectrum_of("cp1")
-    assert match_complex_sets(spec.values, [2, -2], tol=1e-8)
+    assert match_complex_sets(values(spec), [2, -2], tol=1e-8)
 
 
 def test_cp2_spectrum_matches_closed_form():
     _, _, spec = spectrum_of("cp2")
-    assert match_complex_sets(spec.values, cp_closed_form(2).values, tol=1e-8)
+    assert match_complex_sets(values(spec), cp_closed_form(2), tol=1e-8)
 
 
 def test_cp1xcp1_spectrum():
     _, _, spec = spectrum_of("cp1xcp1")
-    assert match_complex_sets(spec.values, [4, 0, 0, -4], tol=1e-8)
+    assert match_complex_sets(values(spec), [4, 0, 0, -4], tol=1e-8)
 
 
 def test_product_spectrum_is_minkowski_sum():
     _, _, one = spectrum_of("cp1")
-    pairwise = [a + b for a in one.values for b in one.values]
+    pairwise = [a + b for a in values(one) for b in values(one)]
     _, _, prod = spectrum_of("cp1xcp1")
-    assert match_complex_sets(prod.values, pairwise, tol=1e-8)
+    assert match_complex_sets(values(prod), pairwise, tol=1e-8)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_cpd_values_have_modulus_d_plus_one(d):
     _, _, spec = spectrum_of(f"cp{d}")
-    assert all(abs(abs(v) - (d + 1)) < 1e-8 for v in spec.values)
+    assert all(abs(abs(v) - (d + 1)) < 1e-8 for v in values(spec))
 
 
 def test_u8_degenerate_value_flagged(u8):
@@ -57,23 +60,22 @@ def test_u8_degenerate_value_flagged(u8):
     W = build_potential(fan, F)
     point = verify_point(W, (-1, -1, -1, 1))
     report = SolveReport(24, (point,), Verdict.UNDETERMINED)
-    spec = critical_values(report)
-    assert len(spec.entries) == 1
-    entry = spec.entries[0]
-    assert entry.degenerate
-    assert abs(entry.value - (-6)) < 1e-12
-    assert entry.multiplicity_lower_bound == 1
+    assert len(report.spectrum) == 1
+    value, degenerate = report.spectrum[0]
+    assert degenerate
+    assert abs(value - (-6)) < 1e-12
+    assert json.loads(spectrum_to_json(report))["values"] == [[-6.0, 0.0, 1, True]]
 
 
 def test_sorted_deterministic_order():
     _, _, spec = spectrum_of("bl1_cp2")
-    keys = [(e.value.real, e.value.imag) for e in spec.entries]
+    keys = [(value.real, value.imag) for value in values(spec)]
     assert keys == sorted(keys)
 
 
 def test_spectrum_json_schema():
-    _, _, spec = spectrum_of("cp1")
-    data = json.loads(to_json(spec))
+    _, report, _ = spectrum_of("cp1")
+    data = json.loads(spectrum_to_json(report))
     assert set(data) == {"values"}
     for row in data["values"]:
         assert len(row) == 4
@@ -82,5 +84,5 @@ def test_spectrum_json_schema():
 
 
 def test_eigenvalue_interpretation_documented():
-    assert "eigenvalue" in critical_values.__doc__
-    assert "multiplication" in critical_values.__doc__
+    assert "eigenvalue" in SolveReport.spectrum.__doc__
+    assert "multiplication" in SolveReport.spectrum.__doc__

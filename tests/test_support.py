@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,6 @@ from toricqh.errors import NotDelzant, NotStrictlyConvex
 from toricqh.lattice import Polytope, dual_polytope, lattice_points
 from toricqh.support import (
     SupportFunction,
-    convexity_margin,
     is_strictly_convex,
     moment_polytope,
     monotone_support,
@@ -137,25 +135,3 @@ def test_round_trip_after_global_linear_shift():
     assert is_strictly_convex(shifted)[0]
     fan2, F2 = support_from_polytope(moment_polytope(shifted))
     assert F2.values == shifted.values
-
-
-def test_perturbation_within_margin_keeps_convexity():
-    rng = random.Random(7)
-    for name in ("cp2", "bl3_cp2", "cp1xcp1"):
-        fan, F = corpus.build(name)
-        margin = convexity_margin(F)
-        assert margin > 0
-        for _ in range(20):
-            delta = [
-                Fraction(rng.randint(-999, 999), 1000) * margin for _ in fan.rays
-            ]
-            G = SupportFunction(fan, tuple(v + d for v, d in zip(F.values, delta)))
-            assert is_strictly_convex(G)[0], (name, delta)
-
-
-def test_margin_is_not_overly_conservative():
-    # a perturbation just over the unsafe threshold must break convexity
-    fan, F = corpus.build("cp1")
-    margin = convexity_margin(F)
-    bad = SupportFunction(fan, tuple(v + margin * 2 + 1 for v in F.values))
-    assert not is_strictly_convex(bad)[0]
