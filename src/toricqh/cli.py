@@ -191,19 +191,20 @@ def _solve_target(args):
         cfg = solver.SolverConfig(seed=args.seed, starts=args.starts)
     except ValueError as exc:  # each message opens with the field it rejects
         raise ParseError(f"--{str(exc).split()[0]}: {exc}") from None
-    return label, solver.solve(W, kushnirenko_bound(fan), cfg)
+    return label, cfg, solver.solve(W, kushnirenko_bound(fan), cfg)
 
 
 def _cmd_solve(args) -> int:
     from . import solver
 
-    label, report = _solve_target(args)
+    label, cfg, report = _solve_target(args)
     if args.json:
         print(solver.report_to_json(report))
         return 0
     print(f"input: {label}")
     print(f"expected critical points: {report.expected_count}")
     print(f"found: {report.found_count} (deficit {report.deficit})")
+    print(f"starts: {report.starts} of at most {cfg.budget(report.expected_count)}")
     print("points:")
     for p in report.points:
         kind = "nondegenerate" if p.nondegenerate else "degenerate"
@@ -224,7 +225,7 @@ def _cmd_solve(args) -> int:
 def _cmd_spectrum(args) -> int:
     from . import solver
 
-    label, report = _solve_target(args)
+    label, _, report = _solve_target(args)
     if args.json:
         print(solver.spectrum_to_json(report))
         return 0
@@ -294,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
         add_target(p)
         p.add_argument("--coeffs", help="comma-separated positive coefficients, one per ray")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--starts", type=int, default=None)
+        p.add_argument("--starts", type=int, default=None, help="Newton starts (default: 200 per expected "
+                       "point, stopping after the first 8 per point if they find all points nondegenerate)")
         p.add_argument("--json", action="store_true")
         p.set_defaults(func=_cmd_solve if name == "solve" else _cmd_spectrum)
 

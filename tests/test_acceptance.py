@@ -15,10 +15,8 @@ from toricqh._exact import affine_rank, ratvec
 from toricqh.batyrev import presentation
 from toricqh.fan import is_smooth, kushnirenko_bound
 from toricqh.lattice import (
-    Polytope,
     convex_hull_facets,
     dual_polytope,
-    is_delzant,
     is_reflexive,
     lattice_points,
     normalized_volume,

@@ -76,6 +76,7 @@ def test_solve_cp2(capsys):
     assert code == 0
     assert "verdict: semisimple" in out
     assert "found: 3" in out
+    assert "starts: 24 of at most 600" in out
 
 
 def test_solve_u8_reports_degenerate_point(capsys):
@@ -304,6 +305,8 @@ def test_a_non_isolated_critical_locus_names_no_setting(capsys):
     assert code == 1
     assert out == ""
     assert "not be isolated" in err and "cluster_tol" not in err
+    # raised after all 200 * 12 starts, not from a default budget's first 8 * 12
+    assert err.startswith("error: found 34 distinct critical points, expected at most 12;")
 
 
 def test_real_critical_values_print_without_noise(capsys):

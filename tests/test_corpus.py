@@ -2,7 +2,6 @@ import pytest
 
 from toricqh import corpus
 from toricqh.corpus import (
-    PolytopeFile,
     bl_points_fan,
     bl_points_vertices,
     parse_polytope,

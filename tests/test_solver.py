@@ -124,11 +124,12 @@ def test_solver_deterministic_same_seed():
 
 def test_solver_deterministic_across_blocking(monkeypatch):
     W, expected = build("bl2_cp2")
-    outputs = set()
-    for block in (1, 7, solver._BLOCK, 4096):
-        monkeypatch.setattr(solver, "_BLOCK", block)
-        outputs.add(report_to_json(solve(W, expected, SolverConfig(seed=5, starts=400))))
-    assert len(outputs) == 1
+    for starts in (400, None):  # an explicit budget, and a default one that stops early
+        outputs = set()
+        for block in (1, 7, 1024, 4096):
+            monkeypatch.setattr(solver, "_BLOCK", block)
+            outputs.add(report_to_json(solve(W, expected, SolverConfig(seed=5, starts=starts))))
+        assert len(outputs) == 1
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
@@ -204,6 +205,47 @@ def test_solve_matches_golden_reports(case):
     report = solve(W, case["expected"], SolverConfig(seed=case["seed"], starts=case["starts"]))
     assert report_to_json(report) == case["solve_json"]
     assert spectrum_to_json(report) == case["spectrum_json"]
+
+
+SEMISIMPLE_ENTRIES = [
+    "cp1", "cp2", "cp3", "cp4", "cp5", "cp6", "cp1xcp1", "bl1_cp2", "bl2_cp2", "bl3_cp2", "bl_points_4", "bl_points_5"
+]
+
+
+@pytest.mark.parametrize("name", SEMISIMPLE_ENTRIES)
+def test_a_default_budget_that_stops_early_finds_what_the_full_budget_finds(name):
+    fan, F = corpus.build(name)
+    W, expected = build_potential(fan, F), kushnirenko_bound(fan)
+    for seed in range(10):
+        probed = solve(W, expected, SolverConfig(seed=seed))
+        full = solve(W, expected, SolverConfig(seed=seed, starts=200 * expected))
+        assert probed.verdict is full.verdict is Verdict.SEMISIMPLE
+        assert probed.found_count == full.found_count == expected
+        assert probed.starts in (solver._PROBE_PER_POINT * expected, 200 * expected) and full.starts == 200 * expected
+        for p in probed.points:  # the same points, each with the same rank and exactness
+            match = [q for q in full.points if all(abs(a - b) <= 1e-8 for a, b in zip(p.coords, q.coords))]
+            assert [(q.hessian_rank, q.exact) for q in match] == [(p.hessian_rank, p.exact)], (seed, p.coords)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_default_budget_that_does_not_close_runs_every_start(u8, seed):
+    fan, F = u8
+    W, expected = build_potential(fan, F), kushnirenko_bound(fan)
+    default = solve(W, expected, SolverConfig(seed=seed))
+    full = solve(W, expected, SolverConfig(seed=seed, starts=4800))
+    assert default.starts == full.starts == 4800
+    assert report_to_json(default) == report_to_json(full)
+    assert spectrum_to_json(default) == spectrum_to_json(full)
+
+
+def test_a_closed_probe_runs_no_later_start(monkeypatch):
+    rows = []
+    newton = solver._newton
+    monkeypatch.setattr(solver, "_newton", lambda exponents, coeffs, u0: rows.append(u0) or newton(exponents, coeffs, u0))
+    W, expected = build("cp6")
+    report = solve(W, expected, SolverConfig(seed=0))
+    assert report.verdict is Verdict.SEMISIMPLE and report.starts == 8 * expected == 56
+    assert np.concatenate(rows).tobytes() == solver._starts(0, 56, W.dim).tobytes()
 
 
 def test_critical_value_order_ignores_the_last_bits():

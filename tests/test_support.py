@@ -9,7 +9,6 @@ from toricqh.support import (
     SupportFunction,
     is_strictly_convex,
     moment_polytope,
-    monotone_support,
     support_from_polytope,
 )
 

@@ -1,12 +1,12 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module or test file imports is used in that file."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toricqh"
-MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+MODULES = sorted((TESTS.parent / "src" / "toricqh").glob("*.py")) + sorted(TESTS.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
