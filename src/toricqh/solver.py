@@ -9,8 +9,11 @@ computed bit for bit for all k in one vectorised pass, so numpy.random is
 never loaded; the starts run through one batched Newton kernel, a pool of
 rows refilled from the queue as rows stop. The converged samples, as
 arrays, are canonically sorted, merged by relative distance cell by cell,
-certified exactly from one evaluation when they snap onto rational points,
-and ranked by Hessian rank. The solver promises determinism for a fixed
+and ranked by Hessian rank. One function, `_certified`, makes a point exact:
+at a rational candidate (a cluster centre snapped to small denominators, or
+the real input of `verify_point` read exactly) it reports residual 0 and the
+exact rank and value when the exact log-gradient vanishes there, so
+`exact` means that everywhere. The solver promises determinism for a fixed
 seed, independent of the pool width. Each x_i d_i W is supported on the
 rays, so by Bernstein's bound (Funct. Anal. Appl. 9, 1975) the lattice
 volume N bounds the isolated critical points with multiplicity; a default
@@ -337,51 +340,20 @@ def _merge(X, R, sizes, tol):
     return sorted(kept, key=lambda cl: cl["first"])
 
 
-def _rational_point(coords) -> tuple[Fraction, ...] | None:
-    out = []
-    for z in coords:
-        if isinstance(z, (int, Fraction)):
-            out.append(Fraction(z))
-            continue
-        z = complex(z)
-        if z.imag != 0.0:
-            return None
-        out.append(Fraction(z.real))
-    return tuple(out)
-
-
-def _snap_rational(coords, tol) -> tuple[Fraction, ...] | None:
-    """Round near-real coordinates to small-denominator rationals; `solve`
-    accepts the result only when the exact log-gradient there is identically
-    zero.
-
-    The exact-zero requirement means a generous tol cannot produce a wrong
-    certificate; it can only attach a blob of samples to a genuine critical
-    point with rational coordinates. So limit_denominator(12) only limits which
-    exact points can be found; a point needing larger denominators stays numeric.
-    """
-    if any(abs(complex(z).imag) > tol for z in coords):
-        return None
-    snapped = tuple(Fraction(complex(z).real).limit_denominator(12) for z in coords)
-    if any(s == 0 for s in snapped):
-        return None
-    if any(abs(float(s) - complex(z).real) > tol * max(1.0, abs(float(s))) for s, z in zip(snapped, coords)):
-        return None
-    return snapped
-
-
-def _exact_point(rational, jet, cluster_size: int) -> CriticalPoint:
-    """A rational point's report from its `potential.jet`, computed once."""
-    value, gradient, hessian = jet
+def _certified(W: Superpotential, point: CriticalPoint, rational) -> CriticalPoint:
+    """`point` made exact at the candidate rational point `rational` (None:
+    no candidate) when the exact log-gradient of W vanishes there: one
+    `potential.jet` gives residual 0 and the exact rank and value. Otherwise
+    `point` comes back unchanged. Every exact point comes from here."""
+    if rational is None:
+        return point
+    value, gradient, hessian = potential.jet(W, rational)
+    if any(gradient):
+        return point
     rank = _exact.rank([list(row) for row in hessian])
-    return CriticalPoint(
-        coords=tuple(complex(float(x), 0.0) for x in rational),
-        residual=float(max(abs(g) for g in gradient)),
-        hessian_rank=rank,
-        nondegenerate=rank == len(rational),
-        cluster_size=cluster_size,
-        value=complex(value),
-        exact=True,
+    return replace(
+        point, coords=tuple(complex(float(x), 0.0) for x in rational), residual=0.0,
+        hessian_rank=rank, nondegenerate=rank == len(rational), value=complex(value), exact=True,
     )
 
 
@@ -422,13 +394,18 @@ def _points(W: Superpotential, exponents, coeffs, us, R) -> list[CriticalPoint]:
 
     points = []
     for first in sorted(centre_of):
-        point = numeric[centre_of[first]]
-        snapped = _snap_rational(point.coords, CLUSTER_TOL if point.nondegenerate else wide_tol)
-        jet = potential.jet(W, snapped) if snapped else None
-        if jet and not any(jet[1]):
-            points.append(_exact_point(snapped, jet, sizes[first]))
-        elif point.residual < NEWTON_TOL:
-            points.append(replace(point, cluster_size=sizes[first]))
+        point = replace(numeric[centre_of[first]], cluster_size=sizes[first])
+        # The candidate rounds near-real coordinates to denominators <= 12.
+        # The certificate needs the exact gradient to vanish there, so a
+        # generous tol cannot certify a wrong point; the denominator bound only
+        # limits which rational points are found, and the rest stay numeric.
+        tol = CLUSTER_TOL if point.nondegenerate else wide_tol
+        snapped = tuple(Fraction(z.real).limit_denominator(12) for z in point.coords)
+        near = all(abs(z.imag) <= tol and s != 0 and abs(float(s) - z.real) <= tol * max(1.0, abs(float(s)))
+                   for s, z in zip(snapped, point.coords))
+        point = _certified(W, point, snapped if near else None)
+        if point.exact or point.residual < NEWTON_TOL:
+            points.append(point)
     return sorted(points, key=lambda p: _coord_key(p.coords))
 
 
@@ -465,14 +442,16 @@ def solve(W: Superpotential, expected_count: int, cfg: SolverConfig = SolverConf
 def verify_point(W: Superpotential, p) -> CriticalPoint:
     """Residual, Hessian rank and value at a given point, no iteration.
 
-    Points with rational coordinates go through the exact path, so a residual
-    of 0 there is a certificate, not a float comparison.
+    The point is evaluated numerically and, when it is real, certified as a
+    solved point is (`_certified`) at its coordinates converted exactly to
+    rationals. So a residual of 0 is a certificate, not a float comparison,
+    and a float near an irrational critical point stays numeric.
     """
-    rational = _rational_point(p)
-    if rational is not None:
-        point = _exact_point(rational, potential.jet(W, rational), cluster_size=1)
-    else:
-        point = _numeric_points(*_arrays(W), [tuple(complex(z) for z in p)])[0]
+    if any(z == 0 for z in p):
+        raise ValueError("point has a zero coordinate; not on the torus")
+    point = _numeric_points(*_arrays(W), [tuple(complex(z) for z in p)])[0]
+    real = not any(complex(z).imag for z in p)
+    point = _certified(W, point, tuple(Fraction(z.real) for z in p) if real else None)
     if point.residual >= NEWTON_TOL:
         raise NotCritical(f"log-gradient max-norm {point.residual:g} exceeds {NEWTON_TOL:g}")
     return point

@@ -85,6 +85,35 @@ def test_verify_point_rejects_non_critical():
         verify_point(W, (2, 1))
 
 
+def test_verify_point_rejects_a_point_off_the_torus():
+    W, _ = build("cp2")
+    with pytest.raises(ValueError, match="zero coordinate"):
+        verify_point(W, (0, 1))
+
+
+@pytest.mark.parametrize("name, seed, starts", [("u8", 1, 4800), ("bl_points_5", 309474798, 600)])
+def test_verify_point_certifies_a_reported_exact_point_as_solve_does(name, seed, starts):
+    fan, F = corpus.build(name)
+    W = build_potential(fan, F)
+    report = solve(W, kushnirenko_bound(fan), SolverConfig(seed=seed, starts=starts))
+    exact = [p for p in report.points if p.exact]
+    assert len(exact) >= 4
+    for p in exact:
+        assert verify_point(W, p.coords) == dataclasses.replace(p, cluster_size=1)
+
+
+def test_verify_point_leaves_a_float_near_an_irrational_point_numeric():
+    # W = 1/x + 2x has its critical points at x = +-1/sqrt(2)
+    W, expected = build("cp1", coeffs=[1.0, 2.0])
+    report = solve(W, expected, SolverConfig(seed=0))
+    assert report.found_count == 2 and not any(p.exact for p in report.points)
+    for p in report.points:
+        x = p.coords[0].real
+        assert abs(abs(x) - 2 ** -0.5) < 1e-12
+        cp = verify_point(W, (x,))
+        assert not cp.exact and cp.residual < solver.NEWTON_TOL and cp.coords == (complex(x),)
+
+
 def test_classify_rules():
     def pt(nondeg, rank=2):
         return CriticalPoint((1 + 0j, 1 + 0j), 0.0, rank if not nondeg else 2, nondeg, 1, 3 + 0j)
