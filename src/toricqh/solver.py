@@ -5,7 +5,7 @@ root count and the semisimplicity verdict.
 Newton runs in logarithmic coordinates u (x = exp(u)), where the gradient
 and Hessian of W(exp(u)) are exact finite sums; the torus constraint
 disappears. Start k is the draw of np.random.default_rng([seed, k]),
-computed bit for bit for all k in one vectorised pass, so numpy.random is
+computed bit for bit for a range of k in one vectorised pass, so numpy.random is
 never loaded; the starts run through one batched Newton kernel, a pool of
 rows refilled from the queue as rows stop. The converged samples, as
 arrays, are canonically sorted, merged by relative distance cell by cell,
@@ -181,15 +181,16 @@ def _pcg_step(state, inc):
     return _add128((carry + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI, lo * _PCG_MULT_LO), inc)
 
 
-def _starts(seed: int, n: int, dim: int):
-    """Starts 0..n-1 (n <= 2**32): row k is rng.uniform(log 1/2, log 2, dim)
-    + 1j * rng.uniform(0, 2 pi, dim) for rng = default_rng([seed, k]), by
-    numpy's steps on arrays: SeedSequence hashes the words of seed and k into
+def _starts(seed: int, first: int, stop: int, dim: int):
+    """Starts k = first..stop-1 (stop <= 2**32), one row each:
+    rng.uniform(log 1/2, log 2, dim) + 1j * rng.uniform(0, 2 pi, dim) for
+    rng = default_rng([seed, k]), by numpy's steps on arrays: SeedSequence hashes the words of seed and k into
     a 4-word pool and expands it to 128-bit seed and increment for PCG64,
     whose XSL-RR outputs give the doubles. Array arithmetic wraps silently,
     where numpy scalars would warn."""
     words = [seed & _M32] + ([seed >> 32] if seed >> 32 else [])
-    entropy = [np.full(n, w, dtype=np.uint32) for w in words] + [np.arange(n, dtype=np.uint32)]
+    n = stop - first
+    entropy = [np.full(n, w, dtype=np.uint32) for w in words] + [np.arange(first, stop, dtype=np.uint32)]
     hashes = _hashes(0x43B0D7E5, 0x931E8875)
     pool = [_hash(v, hashes) for v in entropy + [np.zeros(n, dtype=np.uint32)] * (4 - len(entropy))]
     for src in range(4):
@@ -414,7 +415,8 @@ def solve(W: Superpotential, expected_count: int, cfg: SolverConfig = SolverConf
 
     Start moduli are log-uniform in [1/2, 2] with uniform phases. Start k is
     what default_rng([seed, k]) would draw, bit for bit, from one vectorised
-    pass over all k (`_starts`); numpy.random is never loaded. Every row of
+    pass over a range of k (`_starts`), and a range is drawn only when it is
+    run; numpy.random is never loaded. Every row of
     the batched Newton kernel runs independently, so results do not depend
     on the width of its pool.
 
@@ -424,11 +426,10 @@ def solve(W: Superpotential, expected_count: int, cfg: SolverConfig = SolverConf
     exponents, coeffs = _arrays(W)
     n_starts = cfg.budget(expected_count)
     probe = min(n_starts, _PROBE_PER_POINT * expected_count) if cfg.starts is None else n_starts
-    starts = _starts(cfg.seed, n_starts, W.dim)
-    us, R = _newton(exponents, coeffs, starts[:probe])
+    us, R = _newton(exponents, coeffs, _starts(cfg.seed, 0, probe, W.dim))
     points = _points(W, exponents, coeffs, us, R)
     if probe < n_starts and _verdict(points, expected_count) is not Verdict.SEMISIMPLE:
-        rest_us, rest_R = _newton(exponents, coeffs, starts[probe:])
+        rest_us, rest_R = _newton(exponents, coeffs, _starts(cfg.seed, probe, n_starts, W.dim))
         us, R = np.concatenate([us, rest_us]), np.concatenate([R, rest_R])
         points = _points(W, exponents, coeffs, us, R)
     if len(points) > expected_count:

@@ -167,12 +167,16 @@ def test_starts_equal_default_rng_per_index(seed):
     n = solver._BLOCK + 40
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = solver._starts(seed, n, 3)
-    for k in [*range(20), solver._BLOCK - 1, solver._BLOCK, n - 1]:
+        got = solver._starts(seed, 0, n, 3)
+        offset = solver._starts(seed, 1000, n, 3)  # rows k in [1000, n) only
+    assert offset.shape == (n - 1000, 3)
+    for k in [*range(20), 1000, 1001, solver._BLOCK - 1, solver._BLOCK, n - 1]:
         rng = np.random.default_rng([seed, k])
         logmod = rng.uniform(np.log(0.5), np.log(2.0), 3)
         expected = logmod + 1j * rng.uniform(0.0, 2.0 * np.pi, 3)
         assert got[k].tobytes() == expected.tobytes(), k
+        if k >= 1000:
+            assert offset[k - 1000].tobytes() == expected.tobytes(), k
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
@@ -268,13 +272,15 @@ def test_a_default_budget_that_does_not_close_runs_every_start(u8, seed):
 
 
 def test_a_closed_probe_runs_no_later_start(monkeypatch):
-    rows = []
-    newton = solver._newton
+    rows, drawn = [], []
+    newton, starts = solver._newton, solver._starts
     monkeypatch.setattr(solver, "_newton", lambda exponents, coeffs, u0: rows.append(u0) or newton(exponents, coeffs, u0))
+    monkeypatch.setattr(solver, "_starts", lambda *args: drawn.append(starts(*args)) or drawn[-1])
     W, expected = build("cp6")
     report = solve(W, expected, SolverConfig(seed=0))
     assert report.verdict is Verdict.SEMISIMPLE and report.starts == 8 * expected == 56
-    assert np.concatenate(rows).tobytes() == solver._starts(0, 56, W.dim).tobytes()
+    assert np.concatenate(rows).tobytes() == starts(0, 0, 56, W.dim).tobytes()
+    assert sum(len(d) for d in drawn) == 56  # not the 1,400 of the full budget
 
 
 def test_critical_value_order_ignores_the_last_bits():
