@@ -44,10 +44,9 @@ def _fmt_point(coords) -> str:
 
 
 def _resolve(target: str):
-    """(catalog entry or None, hull of the target's rows: a file's rows or a
-    catalog entry's rays, on whichever side --primal picks). Not dualised
-    here: a Delzant moment polytope with the origin on its boundary has no
-    dual."""
+    """(catalog entry or None, the target's rows: a file's rows or a catalog
+    entry's rays, on whichever side --primal picks). Not hulled here: a
+    catalog entry's own fan never reads the hull."""
     path = Path(target)
     if path.exists():
         try:
@@ -58,15 +57,16 @@ def _resolve(target: str):
     else:
         entry = corpus.entry(target)  # raises UnknownInput for junk targets
         rows = entry.dual_vertices
-    return entry, Polytope.from_points(rows)
+    return entry, rows
 
 
-def _fan(entry, P: Polytope, primal: bool):
+def _fan(entry, rows, primal: bool):
     """(fan, support function): a catalog name's own fan, a Delzant moment
     polytope's normal fan with its facet offsets, or else the face fan of the
     ray polytope with the monotone support."""
     if entry is not None and not primal:
         return corpus.build(entry.name)
+    P = Polytope.from_points(rows)
     if primal and is_delzant(P)[0]:
         return support.support_from_polytope(P)
     fan = fan_from_reflexive(dual_polytope(P) if primal else P)
@@ -75,8 +75,8 @@ def _fan(entry, P: Polytope, primal: bool):
 
 def _target(args):
     """(label, fan, support function) of the command's target."""
-    entry, P = _resolve(args.target)
-    fan, F = _fan(entry, P, args.primal)
+    entry, rows = _resolve(args.target)
+    fan, F = _fan(entry, rows, args.primal)
     label = args.target if entry is None or args.primal else f"{entry.name} ({entry.provenance})"
     return label, fan, F
 
@@ -107,7 +107,8 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    entry, P = _resolve(args.target)
+    entry, rows = _resolve(args.target)
+    P = Polytope.from_points(rows)
     print(f"input: {args.target}")
     ray_poly = dual_polytope(P) if args.primal else P
     refl, why = is_reflexive(ray_poly)
@@ -125,7 +126,7 @@ def _cmd_check(args) -> int:
     print(f"  facets: {len(moment.facets)}")
     print(f"  lattice points: {len(lattice_points(moment))}")
     print(f"  delzant: {'yes' if delz else f'no ({dwhy})'}")
-    fan, F = _fan(entry, P, args.primal)
+    fan, F = _fan(entry, rows, args.primal)
     smooth, offender = is_smooth(fan)
     convex, _ = support.is_strictly_convex(F)
     print(

@@ -127,8 +127,10 @@ def convex_hull_facets(points) -> list[Facet]:
     return sorted(facets)
 
 
+@lru_cache(maxsize=None)
 def dual_polytope(P: Polytope) -> Polytope:
-    """Polar dual {n : <m, n> >= -1 for all m in P}; requires 0 interior."""
+    """Polar dual {n : <m, n> >= -1 for all m in P}; requires 0 interior.
+    Computed once per polytope."""
     if any(f.offset >= 0 for f in P.facets):
         bad = next(f for f in P.facets if f.offset >= 0)
         raise OriginNotInterior(f"facet {bad.normal} has offset {bad.offset} >= 0")
@@ -143,6 +145,7 @@ def dual_polytope(P: Polytope) -> Polytope:
     return Polytope(P.dim, dual_vertices, dual_facets)
 
 
+@lru_cache(maxsize=None)
 def is_reflexive(P: Polytope) -> tuple[bool, str | None]:
     """True when 0 is interior and both P and its dual are integral."""
     if any(f.offset >= 0 for f in P.facets):

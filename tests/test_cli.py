@@ -427,6 +427,28 @@ def test_an_unreadable_target_is_a_parse_error(kind, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [("fan", "bl_points_5"), ("presentation", "bl_points_5", "--json")])
+def test_a_command_on_a_catalog_fan_builds_no_hull(argv, capsys, monkeypatch):
+    corpus.build("bl_points_5")  # the catalog's own fan, built once per process
+    monkeypatch.setattr(lattice, "_hulls", {})
+    calls = []
+    hull = lattice.convex_hull_facets
+    monkeypatch.setattr(lattice, "convex_hull_facets", lambda points: calls.append(points) or hull(points))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and calls == []
+
+
+def test_check_file_computes_the_dual_once(tmp_path, capsys):
+    path = tmp_path / "u8.txt"
+    rows = corpus.entry("u8").dual_vertices
+    path.write_text(f"4 {len(rows)}\n" + "".join(" ".join(map(str, v)) + "\n" for v in rows))
+    lattice.dual_polytope.cache_clear()
+    lattice.is_reflexive.cache_clear()
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0 and "reflexive: yes" in out
+    assert lattice.dual_polytope.cache_info().misses == lattice.is_reflexive.cache_info().misses == 1
+
+
 def test_solve_file_with_a_non_extreme_row_builds_one_hull(tmp_path, capsys, monkeypatch):
     path = tmp_path / "cp2_and_origin.txt"
     path.write_text("2 4\n1 0\n0 1\n-1 -1\n0 0\n")
