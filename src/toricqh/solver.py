@@ -292,7 +292,9 @@ def _numeric_points(exponents, coeffs, points) -> list[CriticalPoint]:
 
 
 def _coord_key(coords):
-    return tuple(part for z in coords for part in (z.real, z.imag))
+    """Sort key of a point: `value_key` of each coordinate, so a conjugate
+    pair keeps its order when its real parts differ in the last bits."""
+    return tuple(part for z in coords for part in value_key(z))
 
 
 def _merge(X, R, sizes, tol):

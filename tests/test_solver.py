@@ -300,6 +300,18 @@ def test_critical_value_order_ignores_the_last_bits():
         assert [value.imag for value, _ in nudged.spectrum] == order
 
 
+def test_point_order_ignores_the_last_bits():
+    # bl3_cp2's conjugate points (-0.5 -+ 0.866i, ...) come out with real parts
+    # that differ in the last bits between these two budgets
+    W, expected = build("bl3_cp2")
+    probed = solve(W, expected, SolverConfig(seed=0))
+    full = solve(W, expected, SolverConfig(seed=0, starts=1200))
+    assert probed.starts == 48 and full.starts == 1200
+    assert len(probed.points) == len(full.points) == expected
+    for p, q in zip(probed.points, full.points):
+        assert all(abs(a - b) < 1e-8 for a, b in zip(p.coords, q.coords)), (p.coords, q.coords)
+
+
 def _reference_newton_run(exponents, coeffs, u0, tol, max_iters):
     """Scalar Newton run, one start at a time: the semantics the batched
     kernel must reproduce row by row."""
