@@ -45,8 +45,9 @@ def _fmt_point(coords) -> str:
 
 def _resolve(target: str):
     """(catalog entry or None, the target's rows: a file's rows or a catalog
-    entry's rays, on whichever side --primal picks). Not hulled here: a
-    catalog entry's own fan never reads the hull."""
+    entry's rays, on whichever side --primal picks). Neither hulled nor
+    dualised here: a catalog entry's own fan reads no hull, and a Delzant
+    moment polytope with the origin on its boundary has no dual."""
     path = Path(target)
     if path.exists():
         try:

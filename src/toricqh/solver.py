@@ -5,20 +5,21 @@ root count and the semisimplicity verdict.
 Newton runs in logarithmic coordinates u (x = exp(u)), where the gradient
 and Hessian of W(exp(u)) are exact finite sums; the torus constraint
 disappears. Start k is the draw of np.random.default_rng([seed, k]),
-computed bit for bit for a range of k in one vectorised pass, so numpy.random is
-never loaded; the starts run through one batched Newton kernel, a pool of
-rows refilled from the queue as rows stop. The converged samples, as
-arrays, are canonically sorted, merged by relative distance cell by cell,
-and ranked by Hessian rank. One function, `_certified`, makes a point exact:
-at a rational candidate (a cluster centre snapped to small denominators, or
-the real input of `verify_point` read exactly) it reports residual 0 and the
-exact rank and value when the exact log-gradient vanishes there, so
-`exact` means that everywhere. The solver promises determinism for a fixed
-seed, independent of the pool width. Each x_i d_i W is supported on the
-rays, so by Bernstein's bound (Funct. Anal. Appl. 9, 1975) the lattice
-volume N bounds the isolated critical points with multiplicity; a default
-budget stops once its first 8N starts find N distinct nondegenerate points.
-Short of that, missing roots are reported as an honest deficit.
+computed bit for bit for a range of k in one vectorised pass, so
+numpy.random is never loaded; the starts run through one batched Newton
+kernel, a pool of rows refilled from the queue as rows stop. The
+converged samples, as arrays, are canonically sorted, merged by relative
+distance cell by cell, and ranked by Hessian rank. One function,
+`_certified`, makes a point exact: at a rational candidate (a cluster centre
+snapped to small denominators, or the real input of `verify_point` read
+exactly) it reports residual 0 and the exact rank and value when the exact
+log-gradient vanishes there, so `exact` means that everywhere. The solver
+promises determinism for a fixed seed, independent of the pool width. Each
+x_i d_i W is supported on the rays, so by Bernstein's bound (Funct. Anal.
+Appl. 9, 1975) the lattice volume N bounds the isolated critical points with
+multiplicity; a default budget stops once its first 8N starts find N
+distinct nondegenerate points. Short of that, missing roots are reported as
+an honest deficit.
 
 This module owns the one floating-point evaluation of W, `_terms`: Newton,
 the cluster centres and `verify_point` all read it. `potential` is exact.
@@ -184,10 +185,10 @@ def _pcg_step(state, inc):
 def _starts(seed: int, first: int, stop: int, dim: int):
     """Starts k = first..stop-1 (stop <= 2**32), one row each:
     rng.uniform(log 1/2, log 2, dim) + 1j * rng.uniform(0, 2 pi, dim) for
-    rng = default_rng([seed, k]), by numpy's steps on arrays: SeedSequence hashes the words of seed and k into
-    a 4-word pool and expands it to 128-bit seed and increment for PCG64,
-    whose XSL-RR outputs give the doubles. Array arithmetic wraps silently,
-    where numpy scalars would warn."""
+    rng = default_rng([seed, k]), by numpy's steps on arrays: SeedSequence
+    hashes the words of seed and k into a 4-word pool and expands it to
+    128-bit seed and increment for PCG64, whose XSL-RR outputs give the
+    doubles. Array arithmetic wraps silently, where numpy scalars would warn."""
     words = [seed & _M32] + ([seed >> 32] if seed >> 32 else [])
     n = stop - first
     entropy = [np.full(n, w, dtype=np.uint32) for w in words] + [np.arange(first, stop, dtype=np.uint32)]
@@ -292,8 +293,7 @@ def _numeric_points(exponents, coeffs, points) -> list[CriticalPoint]:
 
 
 def _coord_key(coords):
-    """Sort key of a point: `value_key` of each coordinate, so a conjugate
-    pair keeps its order when its real parts differ in the last bits."""
+    """A point's sort key: each coordinate's `value_key`, blind to the last bits."""
     return tuple(part for z in coords for part in value_key(z))
 
 
@@ -343,7 +343,7 @@ def _merge(X, R, sizes, tol):
     return sorted(kept, key=lambda cl: cl["first"])
 
 
-def _certified(W: Superpotential, point: CriticalPoint, rational) -> CriticalPoint:
+def _certified(W: Superpotential, point: CriticalPoint, rational: tuple[Fraction, ...] | None) -> CriticalPoint:
     """`point` made exact at the candidate rational point `rational` (None:
     no candidate) when the exact log-gradient of W vanishes there: one
     `potential.jet` gives residual 0 and the exact rank and value. Otherwise
@@ -354,10 +354,8 @@ def _certified(W: Superpotential, point: CriticalPoint, rational) -> CriticalPoi
     if any(gradient):
         return point
     rank = _exact.rank([list(row) for row in hessian])
-    return replace(
-        point, coords=tuple(complex(float(x), 0.0) for x in rational), residual=0.0,
-        hessian_rank=rank, nondegenerate=rank == len(rational), value=complex(value), exact=True,
-    )
+    return replace(point, coords=tuple(complex(float(x), 0.0) for x in rational), residual=0.0, hessian_rank=rank,
+                   nondegenerate=rank == len(rational), value=complex(value), exact=True)
 
 
 def _verdict(points, expected_count) -> Verdict:
@@ -398,10 +396,9 @@ def _points(W: Superpotential, exponents, coeffs, us, R) -> list[CriticalPoint]:
     points = []
     for first in sorted(centre_of):
         point = replace(numeric[centre_of[first]], cluster_size=sizes[first])
-        # The candidate rounds near-real coordinates to denominators <= 12.
-        # The certificate needs the exact gradient to vanish there, so a
-        # generous tol cannot certify a wrong point; the denominator bound only
-        # limits which rational points are found, and the rest stay numeric.
+        # Candidate: near-real coordinates rounded to denominators <= 12. A
+        # generous tol cannot certify a wrong point, as the exact gradient must
+        # vanish there; the bound only limits which rational points are found.
         tol = CLUSTER_TOL if point.nondegenerate else wide_tol
         snapped = tuple(Fraction(z.real).limit_denominator(12) for z in point.coords)
         near = all(abs(z.imag) <= tol and s != 0 and abs(float(s) - z.real) <= tol * max(1.0, abs(float(s)))
@@ -417,10 +414,9 @@ def solve(W: Superpotential, expected_count: int, cfg: SolverConfig = SolverConf
 
     Start moduli are log-uniform in [1/2, 2] with uniform phases. Start k is
     what default_rng([seed, k]) would draw, bit for bit, from one vectorised
-    pass over a range of k (`_starts`), and a range is drawn only when it is
-    run; numpy.random is never loaded. Every row of
-    the batched Newton kernel runs independently, so results do not depend
-    on the width of its pool.
+    pass over a range of k (`_starts`), drawn only when it runs; numpy.random
+    is never loaded. Every row of the batched Newton kernel runs
+    independently, so results do not depend on the width of its pool.
 
     A default budget runs only the first _PROBE_PER_POINT starts per expected
     point if they close the count (see the module docstring), else all starts.
@@ -453,8 +449,7 @@ def verify_point(W: Superpotential, p) -> CriticalPoint:
     if any(z == 0 for z in p):
         raise ValueError("point has a zero coordinate; not on the torus")
     point = _numeric_points(*_arrays(W), [tuple(complex(z) for z in p)])[0]
-    real = not any(complex(z).imag for z in p)
-    point = _certified(W, point, tuple(Fraction(z.real) for z in p) if real else None)
+    point = _certified(W, point, None if any(complex(z).imag for z in p) else tuple(Fraction(z.real) for z in p))
     if point.residual >= NEWTON_TOL:
         raise NotCritical(f"log-gradient max-norm {point.residual:g} exceeds {NEWTON_TOL:g}")
     return point

@@ -364,9 +364,10 @@ def _reference_merge(samples, tol):
 
 
 def _assert_merge_agrees(samples, tol):
-    """`_merge` on the canonically sorted samples equals `_reference_merge`;
-    returns the clusters."""
-    samples = sorted(samples, key=lambda item: (solver._coord_key(item[0]), item[1]))
+    """`_merge` on the canonically sorted samples (raw real, then imaginary
+    part of each coordinate, then residual, as in `_points`) equals
+    `_reference_merge`; returns the clusters."""
+    samples = sorted(samples, key=lambda item: ([part for z in item[0] for part in (z.real, z.imag)], item[1]))
     X = np.array([c for c, _, _ in samples], dtype=complex)
     R = np.array([r for _, r, _ in samples])
     got = [
