@@ -7,9 +7,12 @@ and Hessian of W(exp(u)) are exact finite sums; the torus constraint
 disappears. Start k is the draw of np.random.default_rng([seed, k]),
 computed bit for bit for a range of k in one vectorised pass, so
 numpy.random is never loaded; the starts run through one batched Newton
-kernel, a pool of rows refilled from the queue as rows stop. The
-converged samples, as arrays, are canonically sorted, merged by relative
-distance cell by cell, and ranked by Hessian rank. One function,
+kernel, a pool of rows refilled from the queue as rows stop. Where Newton
+converges only linearly, at a degenerate critical point, a row takes the
+geometric limit of its steps, Schroeder's step at a multiple root (Decker,
+Keller and Kelley, SIAM J. Numer. Anal. 20, 1983; Griewank, SIAM Rev. 27,
+1985). The converged samples, as arrays, are canonically sorted, merged by
+relative distance cell by cell, and ranked by Hessian rank. One function,
 `_certified`, makes a point exact: at a rational candidate (a cluster centre
 snapped to small denominators, or the real input of `verify_point` read
 exactly) it reports residual 0 and the exact rank and value when the exact
@@ -49,6 +52,10 @@ MAX_ITERS = 100
 # catalog's distinct critical points lie at least 0.2 apart
 CLUSTER_TOL = 1e-6
 RANK_TOL = 1e-8  # relative to the largest singular value
+# The linear regime, where a `_newton` row takes the geometric-limit step:
+LINEAR_RESIDUAL = 1e-4  # residual in [NEWTON_TOL, this): near a root, and not polishing
+LINEAR_RATIO = (0.3, 0.95)  # step ratio r: below 0.3 Newton is fast; past 0.95, 1 / (1 - r) > 20 amplifies noise
+RATIO_AGREEMENT = 0.02  # r within 2% of the row's previous ratio: the steps shrink geometrically
 
 
 @dataclass(frozen=True)
@@ -59,8 +66,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:  # what default_rng([seed, k]) accepts, without aliases
             raise ValueError("seed must be in [0, 2**64)")
-        if self.starts is not None and self.starts < 1:
-            raise ValueError("starts must be >= 1")
+        if self.starts is not None and not 1 <= self.starts <= 2**32:  # start k is drawn from a 32-bit word
+            raise ValueError("starts must be in [1, 2**32]")
 
     def budget(self, expected_count: int) -> int:
         """The most starts a solve runs."""
@@ -136,12 +143,22 @@ def _gradient(exponents, t):
     return np.matmul(exponents.T, t[..., None])[..., 0]
 
 
-def _hessian(exponents, t):
-    return np.matmul(exponents.T, t[..., None] * exponents)
+def _outer(exponents):
+    """The outer products n_rho n_rho^T of the exponents, shape (terms, d, d)."""
+    return exponents[:, :, None] * exponents[:, None, :]
+
+
+def _hessian(outer, t):
+    """sum_rho t_rho n_rho n_rho^T at each row of t, from the `_outer` table.
+    The product is per row, a stack of (1, terms) @ (terms, d * d) products,
+    so each row gets the bits of a one-row call and the Hessian does not
+    depend on the width of the Newton pool; one gemm over the stack would
+    not give that."""
+    return (t[..., None, :] @ outer.reshape(len(outer), -1)).reshape(t.shape[:-1] + outer.shape[1:])
 
 
 # Active rows of the Newton pool: large enough to amortise the per-iteration
-# numpy calls, small enough that the (rows, terms, dim) Hessian stack stays small.
+# numpy calls, small enough that the (rows, d, d) Hessian stack stays small.
 _BLOCK = 1024
 _POLISH_STEPS = 30
 # Starts per expected point in a default budget's probe. At target
@@ -221,20 +238,29 @@ def _newton(exponents, coeffs, u0):
 
     The rows run in one pool of at most _BLOCK active rows, refilled from
     the queue of u0 whenever fewer are active; each row stops after its own
-    MAX_ITERS + _POLISH_STEPS evaluations. Once a row's residual drops below
-    NEWTON_TOL the iteration keeps polishing while it still improves: near a
-    degenerate critical point convergence is only linear, and stopping at
-    the first sub-tolerance iterate would leave samples scattered at the
-    square root of the tolerance. A row also stops when it escapes
-    (|Re u| > 50), its residual is not finite, it stops improving or leaves
-    the basin after a sub-tolerance iterate (keeping the best one), its
-    polish steps run out, or its Hessian is singular.
+    MAX_ITERS + _POLISH_STEPS evaluations. Near a degenerate critical point
+    Newton converges only linearly, each step about r times the last in
+    max-norm (Decker, Keller and Kelley 1983; Griewank 1985). A row whose
+    ratio r has settled (`LINEAR_RESIDUAL`, `LINEAR_RATIO`,
+    `RATIO_AGREEMENT`) takes the geometric limit delta / (1 - r) of its
+    steps instead of the step delta; at a root of multiplicity m, where r =
+    (m - 1) / m, that is Schroeder's step m * delta. Its ratio history then
+    starts afresh. Once a row's residual drops below NEWTON_TOL the
+    iteration keeps polishing with plain steps while it still improves:
+    stopping at the first sub-tolerance iterate would leave samples of a
+    degenerate point scattered at the square root of the tolerance. A row
+    also stops when it escapes (|Re u| > 50), its residual is not finite, it
+    stops improving or leaves the basin after a sub-tolerance iterate
+    (keeping the best one), its polish steps run out, or its Hessian is
+    singular.
     """
     n = len(u0)
+    outer = _outer(exponents)
     best_u = np.zeros_like(u0)  # rows that never converge are dropped later
     best_res = np.full(n, np.inf)
     polish_left = np.full(n, _POLISH_STEPS)
     evals_left = np.full(n, MAX_ITERS + _POLISH_STEPS)
+    last_norm, last_ratio = np.full(n, np.nan), np.full(n, np.nan)  # nan: no history
     rows, u, queued = np.arange(0), u0[:0], 0
     while rows.size or queued < n:
         fill = min(n, queued + _BLOCK - rows.size)
@@ -259,9 +285,22 @@ def _newton(exponents, coeffs, u0):
             | (improved & ((polish_left[rows] <= 0) | (residual == 0.0)))
             | (evals_left[rows] == 0)
         )
-        rows, u, t, g = rows[~stop], u[~stop], t[~stop], g[~stop]
-        step, solvable = _newton_steps(_hessian(exponents, t), g)
-        rows, u = rows[solvable], u[solvable] + step[solvable]
+        rows, u, t, g, residual = rows[~stop], u[~stop], t[~stop], g[~stop], residual[~stop]
+        step, solvable = _newton_steps(_hessian(outer, t), g)
+        rows, u, step, residual = rows[solvable], u[solvable], step[solvable], residual[solvable]
+        norm, previous = np.abs(step).max(axis=1), last_ratio[rows]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a zero or tiny last step
+            ratio = norm / last_norm[rows]
+        linear = (
+            (residual >= NEWTON_TOL) & (residual < LINEAR_RESIDUAL)
+            & (LINEAR_RATIO[0] < ratio) & (ratio < LINEAR_RATIO[1])
+            & (np.abs(ratio - previous) <= RATIO_AGREEMENT * previous)
+        )
+        if linear.any():
+            step[linear] /= (1.0 - ratio[linear])[:, None]
+            norm[linear] = np.nan  # so the next ratio is nan, and the history starts afresh
+        last_norm[rows], last_ratio[rows] = norm, ratio
+        u = u + step
     return best_u, best_res
 
 
@@ -284,7 +323,7 @@ def _numeric_points(exponents, coeffs, points) -> list[CriticalPoint]:
     points = np.asarray(points, dtype=complex)
     t = _terms(exponents, coeffs, np.log(points))
     residuals = np.max(np.abs(_gradient(exponents, t)), axis=1)
-    sv = np.linalg.svd(_hessian(exponents, t), compute_uv=False)
+    sv = np.linalg.svd(_hessian(_outer(exponents), t), compute_uv=False)
     ranks = np.sum(sv > RANK_TOL * sv[:, :1], axis=1).tolist()
     return [
         CriticalPoint(tuple(p), float(r), k, k == len(p), 1, complex(v))

@@ -50,7 +50,7 @@ def kernel(W, u):
 
     exponents, coeffs = solver._arrays(W)
     t = solver._terms(exponents, coeffs, np.array([u], dtype=complex))
-    return t.sum(axis=1)[0], solver._gradient(exponents, t)[0], solver._hessian(exponents, t)[0]
+    return t.sum(axis=1)[0], solver._gradient(exponents, t)[0], solver._hessian(solver._outer(exponents), t)[0]
 
 
 def cp_closed_form(d: int):

@@ -276,3 +276,61 @@ def test_criterion_11_invariant_suites(u8, monkeypatch):
     assert len(reports) == 1
 
     _ok(11, "invariant suites: duality, hull oracle, fan axioms, volumes, FD, determinism")
+
+
+def _c1_characteristic_polynomial(fan, F, lam):
+    """Characteristic polynomial of multiplication by c1 = sum z_rho on
+    Batyrev's ring at q = s = 1, exactly: the linear relations are solved for
+    the z of one maximal cone, and c1 acts on the standard monomials of a
+    grevlex basis of the quantum relations."""
+    import sympy
+
+    pres = presentation(fan, F)
+    z = sympy.symbols(f"z0:{len(pres.rays)}")
+    pivots = [z[i] for i in fan.maximal_cones[0]]
+    free = [v for v in z if v not in pivots]
+    linear = [sum(c * v for c, v in zip(rel.coefficients, z)) for rel in pres.linear]
+    (sub,) = sympy.solve(linear, pivots, dict=True)
+    quantum = [
+        sympy.expand((sympy.Mul(*[z[i] for i in rel.collection]) - sympy.Mul(*[z[i] ** m for i, m in rel.a])).subs(sub))
+        for rel in pres.quantum
+    ]
+    basis = sympy.groebner(quantum, *free, order="grevlex")
+    leads = [sympy.Poly(g, *free).monoms(order="grevlex")[0] for g in basis.exprs]
+    standard, frontier = set(), [(0,) * len(free)]
+    while frontier:  # monomials divisible by no leading monomial; finitely many
+        m = frontier.pop()
+        if m not in standard and not any(all(a >= b for a, b in zip(m, lead)) for lead in leads):
+            standard.add(m)
+            frontier.extend(tuple(e + (i == k) for i, e in enumerate(m)) for k in range(len(free)))
+    index = {m: i for i, m in enumerate(sorted(standard))}
+    c1 = sympy.expand(sum(z).subs(sub))
+    M = sympy.zeros(len(index))
+    for m, j in index.items():
+        _, rem = basis.reduce(sympy.expand(c1 * sympy.Mul(*[v**e for v, e in zip(free, m)])))
+        for mono, coeff in sympy.Poly(rem, *free).terms():
+            M[index[mono], j] = coeff
+    return M.charpoly(lam).as_expr()
+
+
+def test_c1_spectrum_of_batyrevs_ring_matches_the_solved_critical_values():
+    import sympy
+
+    lam = sympy.Symbol("lam")
+    expected = {
+        "cp3": (lam**4 - 256, None),
+        "u8": (
+            (lam - 10) * (lam - 2) ** 2 * (lam + 6) ** 3 * (lam + 2) ** 6 * (lam**2 + 4 * lam + 20) ** 2
+            * (lam**4 + 4 * lam**3 - 8 * lam**2 - 144 * lam - 416) ** 2,
+            4800,
+        ),
+    }
+    for name, (polynomial, starts) in expected.items():
+        fan, F = corpus.build(name)
+        got = _c1_characteristic_polynomial(fan, F, lam)
+        assert sympy.expand(got - polynomial) == 0, name
+        roots = [complex(r) for factor, _ in sympy.factor_list(got)[1] for r in sympy.Poly(factor, lam).nroots(n=30)]
+        report = solve(build_potential(fan, F), kushnirenko_bound(fan), SolverConfig(seed=0, starts=starts))
+        values = [value for value, _ in report.spectrum]
+        assert all(any(abs(r - v) <= COORD_TOL for v in values) for r in roots), name
+        assert all(any(abs(r - v) <= COORD_TOL for r in roots) for v in values), name

@@ -299,6 +299,17 @@ def test_a_seed_default_rng_would_reject_or_alias_is_a_usage_error(command, seed
     assert err.startswith("parse error: --seed: seed must be in [0, 2**64)")
 
 
+def test_a_budget_past_the_seeded_start_range_is_a_usage_error(monkeypatch, capsys):
+    # start k is seeded from a 32-bit word, so k >= 2**32 would repeat start
+    # k - 2**32; the budget is rejected before any start is drawn
+    from toricqh import solver
+
+    monkeypatch.setattr(solver, "_starts", lambda *args: pytest.fail("drew starts"))
+    code, out, err = run(capsys, "solve", "cp2", "--starts", "4294967297")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: --starts: starts must be in [1, 2**32]")
+
+
 def test_a_non_isolated_critical_locus_names_no_setting(capsys):
     # bl_points_3's W has curves of critical points (ROADMAP item 4)
     code, out, err = run(capsys, "solve", "bl_points_3")
@@ -306,7 +317,7 @@ def test_a_non_isolated_critical_locus_names_no_setting(capsys):
     assert out == ""
     assert "not be isolated" in err and "cluster_tol" not in err
     # raised after all 200 * 12 starts, not from a default budget's first 8 * 12
-    assert err.startswith("error: found 34 distinct critical points, expected at most 12;")
+    assert err.startswith("error: found 15 distinct critical points, expected at most 12;")
 
 
 def test_real_critical_values_print_without_noise(capsys):

@@ -187,6 +187,15 @@ def test_seeds_outside_the_default_rng_range_are_rejected(seed):
     assert SolverConfig(seed=2**64 - 1).seed == 2**64 - 1
 
 
+@pytest.mark.parametrize("starts", [0, 2**32 + 1, 2**40])
+def test_budgets_outside_the_seeded_start_range_are_rejected(starts):
+    # _starts seeds start k from a 32-bit word: past 2**32 starts it would wrap
+    # silently and repeat start 0
+    with pytest.raises(ValueError, match=r"starts must be in \[1, 2\*\*32\]"):
+        SolverConfig(starts=starts)
+    assert SolverConfig(starts=2**32).budget(1) == 2**32
+
+
 def test_each_snapped_point_is_certified_from_one_exact_evaluation(monkeypatch):
     calls = []
     term_values = potential._term_values
@@ -312,13 +321,19 @@ def test_point_order_ignores_the_last_bits():
         assert all(abs(a - b) < 1e-8 for a, b in zip(p.coords, q.coords)), (p.coords, q.coords)
 
 
-def _reference_newton_run(exponents, coeffs, u0, tol, max_iters):
+def _reference_newton_run(exponents, coeffs, u0, tol, max_iters, polish_steps=30):
     """Scalar Newton run, one start at a time: the semantics the batched
-    kernel must reproduce row by row."""
+    kernel must reproduce row by row. A run whose step ratio r has settled
+    (residual in [tol, 1e-4), 0.3 < r < 0.95, r within 2% of the previous
+    ratio) takes the geometric-limit step delta / (1 - r) and forgets its
+    step history."""
+    dim = len(u0)
+    outer = (exponents[:, :, None] * exponents[:, None, :]).reshape(len(exponents), dim * dim)
     u = u0.copy()
     best = None
-    polish_left = 30
-    for _ in range(max_iters + 30):
+    polish_left = polish_steps
+    last_norm = last_ratio = math.nan
+    for _ in range(max_iters + polish_steps):
         if np.any(np.abs(u.real) > 50.0):
             break
         t = coeffs * np.exp(exponents @ u)
@@ -336,11 +351,19 @@ def _reference_newton_run(exponents, coeffs, u0, tol, max_iters):
                 break
         elif best is not None:
             break
-        h = exponents.T @ (t[:, None] * exponents)
+        h = (t @ outer).reshape(dim, dim)
         try:
             step = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError:
             break
+        norm = np.max(np.abs(step))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = norm / last_norm
+        if tol <= residual < 1e-4 and 0.3 < ratio < 0.95 and abs(ratio - last_ratio) <= 0.02 * last_ratio:
+            step = step / (1.0 - ratio)
+            last_norm = last_ratio = math.nan
+        else:
+            last_norm, last_ratio = norm, ratio
         u = u + step
     if best is None:
         return None
@@ -461,12 +484,12 @@ def _seeded_starts(dim, n, seed=3):
     return rng.uniform(np.log(0.5), np.log(2.0), (n, dim)) + 1j * rng.uniform(0.0, 2.0 * np.pi, (n, dim))
 
 
-def _assert_kernel_matches_reference(W, u0):
+def _assert_kernel_matches_reference(W, u0, polish_steps=30):
     exponents, coeffs = solver._arrays(W)
     us, residuals = solver._newton(exponents, coeffs, u0)
     outcomes = []
     for row, u, residual in zip(u0, us, residuals):
-        ref = _reference_newton_run(exponents, coeffs, row, solver.NEWTON_TOL, solver.MAX_ITERS)
+        ref = _reference_newton_run(exponents, coeffs, row, solver.NEWTON_TOL, solver.MAX_ITERS, polish_steps)
         if ref is None:
             assert residual == np.inf
         else:
@@ -476,7 +499,7 @@ def _assert_kernel_matches_reference(W, u0):
     return outcomes
 
 
-@pytest.mark.parametrize("name", ["u8", "cp6"])
+@pytest.mark.parametrize("name", ["u8", "cp6", "bl_points_5"])
 def test_newton_kernel_matches_scalar_reference(name):
     W, _ = build(name)
     u0 = _seeded_starts(W.dim, 300)
@@ -489,17 +512,61 @@ def test_newton_kernel_matches_scalar_reference(name):
 
 def test_newton_pool_refills_and_caps_each_row(monkeypatch):
     # 300 starts through 16 active rows: rows join as others stop, and each
-    # row, however late it joins, stops after its own MAX_ITERS + 30
-    # evaluations, which at MAX_ITERS = 5 cuts some runs short
+    # row, however late it joins, stops after its own MAX_ITERS + _POLISH_STEPS
+    # evaluations, which at 10 + 5 cuts some runs short
     W, _ = build("u8")
     exponents, coeffs = solver._arrays(W)
     u0 = _seeded_starts(W.dim, 300)
     uncapped = [_reference_newton_run(exponents, coeffs, row, solver.NEWTON_TOL, solver.MAX_ITERS) for row in u0]
     monkeypatch.setattr(solver, "_BLOCK", 16)
-    monkeypatch.setattr(solver, "MAX_ITERS", 5)
-    outcomes = _assert_kernel_matches_reference(W, u0)
+    monkeypatch.setattr(solver, "MAX_ITERS", 10)
+    monkeypatch.setattr(solver, "_POLISH_STEPS", 5)
+    outcomes = _assert_kernel_matches_reference(W, u0, polish_steps=5)
     cut_short = [i for i, (ok, ref) in enumerate(zip(outcomes, uncapped)) if ref is not None and not ok]
     assert sum(outcomes) > 250 and max(cut_short) > 200  # rows that joined long after the first 16
+
+
+def _assert_hessian_matches_direct_sum(W):
+    # The table product regroups the sum over terms, so it may differ from the
+    # direct sum exponents.T @ (t * exponents) in the last bits: with at most a
+    # dozen terms the rounding is below 12 * 2**-53 relative to the sum of
+    # |t_rho n_rho_i n_rho_j|, so 1e-14 of that sum is a safe bound.
+    exponents, coeffs = solver._arrays(W)
+    outer = solver._outer(exponents)
+    t = solver._terms(exponents, coeffs, _seeded_starts(W.dim, 64, seed=5))
+    got = solver._hessian(outer, t)
+    for k, row in enumerate(t):
+        direct = exponents.T @ (row[:, None] * exponents)
+        scale = np.abs(row) @ np.abs(outer).reshape(len(outer), -1)
+        assert (np.abs(got[k] - direct).reshape(-1) <= 1e-14 * scale).all(), k
+        # each row's bits are those of a one-row call, whatever the stack
+        alone = solver._hessian(outer, t[k : k + 1])[0]
+        assert got[k].tobytes() == alone.tobytes() == solver._hessian(outer, row).tobytes()
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in corpus.catalog()])
+def test_hessian_table_matches_the_direct_sum(name):
+    _assert_hessian_matches_direct_sum(build(name)[0])
+
+
+def test_hessian_table_matches_the_direct_sum_with_higher_exponents():
+    # exponents 2 and 3, so the table holds entries up to 9
+    exponents = [(2, 1, 0), (-1, -3, 1), (0, 1, -2), (3, -1, 1), (-1, 0, 0)]
+    W = Superpotential(3, tuple(Term(e, c, Fraction(0)) for e, c in zip(exponents, [1.0, 2.5, -0.5, 1.0, 3.0])))
+    _assert_hessian_matches_direct_sum(W)
+
+
+def test_newton_work_on_u8_stays_bounded(monkeypatch):
+    # rows evaluated by the kernel for u8's 4,800 starts at seed 5: 93,080
+    # with plain Newton steps, about 64,700 with geometric-limit steps at
+    # the three degenerate points
+    W, _ = build("u8")
+    exponents, coeffs = solver._arrays(W)
+    sizes, terms = [], solver._terms
+    monkeypatch.setattr(solver, "_terms", lambda e, c, u: sizes.append(len(u)) or terms(e, c, u))
+    _, residuals = solver._newton(exponents, coeffs, solver._starts(5, 0, 4800, W.dim))
+    assert np.isfinite(residuals).sum() > 4700
+    assert sum(sizes) <= 70_000, (sum(sizes), len(sizes))
 
 
 def test_newton_kernel_singular_hessian_rows_stop_alone():
