@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 # public name -> the module that defines it, listed module by module
 _LAZY = {name: module for module, names in (
     ("batyrev", "Presentation linear_ideal presentation quantum_sr_generators"),
-    ("corpus", "CatalogEntry PolytopeFile catalog entry parse_polytope"),
+    ("corpus", "CatalogEntry catalog entry parse_polytope"),
     ("fan", "Cone Fan fan_from_reflexive is_complete is_smooth minimal_cone_containing "
             "primitive_collections"),
     ("lattice", "Facet Polytope convex_hull_facets dual_polytope is_delzant is_reflexive lattice_points "

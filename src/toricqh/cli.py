@@ -54,7 +54,7 @@ def _resolve(target: str):
             text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read {target}: {getattr(exc, 'strerror', None) or exc}") from None
-        entry, rows = None, corpus.parse_polytope(text).rows
+        entry, rows = None, corpus.parse_polytope(text)
     else:
         entry = corpus.entry(target)  # raises UnknownInput for junk targets
         rows = entry.dual_vertices
@@ -249,8 +249,7 @@ def _cmd_valuations(args) -> int:
 
     alpha = _parse_values(args.alpha, 1, "--alpha", Fraction)[0]
     beta = _parse_values(args.beta, 1, "--beta", Fraction)[0]
-    report = quasimorphism_report(alpha, beta)
-    sys.stdout.write(report.render())
+    sys.stdout.write(quasimorphism_report(alpha, beta))
     return 0
 
 

@@ -16,15 +16,9 @@ from .lattice import Polytope
 from .support import SupportFunction, monotone_support
 
 
-@dataclass(frozen=True)
-class PolytopeFile:
-    dim: int
-    count: int
-    rows: tuple[IntVec, ...]
-
-
-def parse_polytope(text: str) -> PolytopeFile:
-    """Parse the vertex-list format, whitespace-tolerant, with positioned errors."""
+def parse_polytope(text: str) -> tuple[IntVec, ...]:
+    """The rows of a vertex-list file, whitespace-tolerant, with positioned
+    errors; the header's "d n" must match the rows that follow."""
     data_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -62,7 +56,7 @@ def parse_polytope(text: str) -> PolytopeFile:
                 raise ParseError(f"entry {value} exceeds signed 64-bit range", line=lineno, column=col)
             row.append(value)
         rows.append(tuple(row))
-    return PolytopeFile(dim, count, tuple(rows))
+    return tuple(rows)
 
 
 def cp_vertices(d: int) -> tuple[IntVec, ...]:

@@ -4,7 +4,7 @@ projective plane.
 
 Valuation convention: order of vanishing, val(s^lambda) = lambda, so smaller
 valuation means larger norm. The non-Archimedean norm 10^(-val) appears only
-in rendered reports.
+in the report text.
 """
 
 from dataclasses import dataclass
@@ -30,28 +30,10 @@ class ValuedPoly:
             raise ValueError("degrees must be nonnegative")
 
 
-@dataclass(frozen=True)
-class HullFace:
-    slope: Fraction
-    horizontal_length: int
-
-
-@dataclass(frozen=True)
-class ValuationMultiset:
-    entries: tuple[tuple[Fraction, int], ...]  # (valuation, count)
-
-    @property
-    def total(self) -> int:
-        return sum(c for _, c in self.entries)
-
-    @property
-    def distinct(self) -> int:
-        return len(self.entries)
-
-
-def lower_hull(p: ValuedPoly) -> tuple[HullFace, ...]:
-    """Faces of the lower convex hull of {(degree, valuation)}, by increasing
-    slope; collinear points merge into a single face."""
+def lower_hull(p: ValuedPoly) -> tuple[tuple[Fraction, int], ...]:
+    """(slope, horizontal length) of each face of the lower convex hull of
+    {(degree, valuation)}, by increasing slope; collinear points merge into a
+    single face."""
     pts = sorted((Fraction(d), Fraction(v)) for d, v in p.terms)
     hull = []
     for pt in pts:
@@ -63,17 +45,13 @@ def lower_hull(p: ValuedPoly) -> tuple[HullFace, ...]:
             else:
                 break
         hull.append(pt)
-    faces = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        faces.append(HullFace((y2 - y1) / (x2 - x1), int(x2 - x1)))
-    return tuple(faces)
+    return tuple(((y2 - y1) / (x2 - x1), int(x2 - x1)) for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
 
 
-def root_valuations(p: ValuedPoly) -> ValuationMultiset:
-    """Root valuation multiset: a hull face of slope l and horizontal length
-    k contributes k roots of valuation -l."""
-    entries = tuple((-face.slope, face.horizontal_length) for face in lower_hull(p))
-    return ValuationMultiset(entries)
+def root_valuations(p: ValuedPoly) -> tuple[tuple[Fraction, int], ...]:
+    """(valuation, count) root classes: a hull face of slope l and horizontal
+    length k contributes k roots of valuation -l."""
+    return tuple((-slope, length) for slope, length in lower_hull(p))
 
 
 def blowup_family(alpha, beta) -> ValuedPoly:
@@ -92,42 +70,18 @@ def blowup_family(alpha, beta) -> ValuedPoly:
     return ValuedPoly(((4, Fraction(0)), (1, alpha), (0, alpha + beta)))
 
 
-@dataclass(frozen=True)
-class QuasimorphismReport:
-    alpha: Fraction
-    beta: Fraction
-    valuations: ValuationMultiset
-
-    @property
-    def ratio(self) -> Fraction:
-        return self.alpha / self.beta
-
-    @property
-    def distinct_classes(self) -> int:
-        return self.valuations.distinct
-
-    @property
-    def conclusion(self) -> str:
-        if self.distinct_classes >= 2:
-            return f"two distinct Calabi quasimorphisms (α/β = {self.ratio} < 3)"
-        return f"criterion inconclusive, single valuation (α/β = {self.ratio} >= 3)"
-
-    def render(self) -> str:
-        lines = [f"blow-up family with alpha = {self.alpha}, beta = {self.beta}"]
-        lines.append("root valuations of x1^4 - s^α x1 - s^(α+β):")
-        for v, count in self.valuations.entries:
-            lines.append(
-                f"  valuation {v} ({count} root{'s' if count > 1 else ''}): "
-                f"spectral norm of x^n at the idempotent = 10^({-v})"
-            )
-        lines.append(self.conclusion)
-        return "\n".join(lines) + "\n"
-
-
-def quasimorphism_report(alpha, beta) -> QuasimorphismReport:
-    """Root-valuation report for the blow-up family; two distinct valuation
-    classes appear exactly when alpha < 3 beta, and each class yields an
-    idempotent whose spectral norm against the loop class separates the
-    induced quasimorphisms."""
-    poly = blowup_family(alpha, beta)
-    return QuasimorphismReport(Fraction(alpha), Fraction(beta), root_valuations(poly))
+def quasimorphism_report(alpha, beta) -> str:
+    """The text of the blow-up family's root-valuation report. Two valuation
+    classes appear exactly when alpha < 3 beta; each class yields an
+    idempotent whose spectral norm separates the induced quasimorphisms."""
+    valuations = root_valuations(blowup_family(alpha, beta))
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    lines = [f"blow-up family with alpha = {alpha}, beta = {beta}",
+             "root valuations of x1^4 - s^α x1 - s^(α+β):"]
+    lines += [f"  valuation {v} ({count} root{'s' if count > 1 else ''}): "
+              f"spectral norm of x^n at the idempotent = 10^({-v})" for v, count in valuations]
+    if len(valuations) >= 2:
+        lines.append(f"two distinct Calabi quasimorphisms (α/β = {alpha / beta} < 3)")
+    else:
+        lines.append(f"criterion inconclusive, single valuation (α/β = {alpha / beta} >= 3)")
+    return "\n".join(lines) + "\n"

@@ -280,8 +280,7 @@ def _newton(exponents, coeffs, u0):
         evals_left[rows] -= 1
         stop = (
             ~np.isfinite(residual)
-            | (below & ~improved)
-            | (~below & np.isfinite(best_res[rows]))
+            | (~improved & np.isfinite(best_res[rows]))
             | (improved & ((polish_left[rows] <= 0) | (residual == 0.0)))
             | (evals_left[rows] == 0)
         )

@@ -162,23 +162,25 @@ def test_criterion_08_quasimorphism_regimes():
     two_class = [(2, 1), (5, 2), (1, Fraction(2, 5))]
     one_class = [(3, 1), (4, 1), (7, 2)]
     for alpha, beta in two_class:
-        rep = quasimorphism_report(alpha, beta)
-        assert rep.distinct_classes == 2, (alpha, beta)
-        assert rep.valuations.total == 4
+        vals = root_valuations(blowup_family(alpha, beta))
+        assert len(vals) == 2, (alpha, beta)
+        assert sum(count for _, count in vals) == 4
+        assert "two distinct Calabi quasimorphisms" in quasimorphism_report(alpha, beta)
     for alpha, beta in one_class:
-        rep = quasimorphism_report(alpha, beta)
-        assert rep.distinct_classes == 1, (alpha, beta)
-        assert rep.valuations.total == 4
+        vals = root_valuations(blowup_family(alpha, beta))
+        assert len(vals) == 1, (alpha, beta)
+        assert sum(count for _, count in vals) == 4
+        assert "criterion inconclusive" in quasimorphism_report(alpha, beta)
     _ok(8, "valuation classes: 2 below the ratio-3 wall, 1 on and above it, counts sum to 4")
 
 
 def test_criterion_09_valuation_specialization():
     alpha, beta, eps = 2, 1, 1e-3
     vals = root_valuations(blowup_family(alpha, beta))
-    assert vals.entries == ((Fraction(1), 1), (Fraction(2, 3), 3))
+    assert vals == ((Fraction(1), 1), (Fraction(2, 3), 3))
     roots = np.roots([1, 0, 0, -(eps ** alpha), -(eps ** (alpha + beta))])
     moduli = sorted(abs(r) for r in roots)
-    expected = sorted(eps ** float(v) for v, c in vals.entries for _ in range(c))
+    expected = sorted(eps ** float(v) for v, c in vals for _ in range(c))
     for m, e in zip(moduli, expected):
         assert abs(m - e) / e < 0.10
     _ok(9, "root moduli at eps=1e-3 match eps^(2/3) (x3) and eps^1 within 10%")

@@ -123,6 +123,63 @@ def test_valuations_single_class(capsys):
     assert "inconclusive" in out
 
 
+# the whole stdout of `valuations`, byte for byte
+VALUATIONS_TEXT = {
+    ("2", "1"): (
+        "blow-up family with alpha = 2, beta = 1\n"
+        "root valuations of x1^4 - s^α x1 - s^(α+β):\n"
+        "  valuation 1 (1 root): spectral norm of x^n at the idempotent = 10^(-1)\n"
+        "  valuation 2/3 (3 roots): spectral norm of x^n at the idempotent = 10^(-2/3)\n"
+        "two distinct Calabi quasimorphisms (α/β = 2 < 3)\n"
+    ),
+    ("5", "2"): (
+        "blow-up family with alpha = 5, beta = 2\n"
+        "root valuations of x1^4 - s^α x1 - s^(α+β):\n"
+        "  valuation 2 (1 root): spectral norm of x^n at the idempotent = 10^(-2)\n"
+        "  valuation 5/3 (3 roots): spectral norm of x^n at the idempotent = 10^(-5/3)\n"
+        "two distinct Calabi quasimorphisms (α/β = 5/2 < 3)\n"
+    ),
+    ("1", "2/5"): (
+        "blow-up family with alpha = 1, beta = 2/5\n"
+        "root valuations of x1^4 - s^α x1 - s^(α+β):\n"
+        "  valuation 2/5 (1 root): spectral norm of x^n at the idempotent = 10^(-2/5)\n"
+        "  valuation 1/3 (3 roots): spectral norm of x^n at the idempotent = 10^(-1/3)\n"
+        "two distinct Calabi quasimorphisms (α/β = 5/2 < 3)\n"
+    ),
+    ("3", "2"): (
+        "blow-up family with alpha = 3, beta = 2\n"
+        "root valuations of x1^4 - s^α x1 - s^(α+β):\n"
+        "  valuation 2 (1 root): spectral norm of x^n at the idempotent = 10^(-2)\n"
+        "  valuation 1 (3 roots): spectral norm of x^n at the idempotent = 10^(-1)\n"
+        "two distinct Calabi quasimorphisms (α/β = 3/2 < 3)\n"
+    ),
+    ("3", "1"): (
+        "blow-up family with alpha = 3, beta = 1\n"
+        "root valuations of x1^4 - s^α x1 - s^(α+β):\n"
+        "  valuation 1 (4 roots): spectral norm of x^n at the idempotent = 10^(-1)\n"
+        "criterion inconclusive, single valuation (α/β = 3 >= 3)\n"
+    ),
+    ("4", "1"): (
+        "blow-up family with alpha = 4, beta = 1\n"
+        "root valuations of x1^4 - s^α x1 - s^(α+β):\n"
+        "  valuation 5/4 (4 roots): spectral norm of x^n at the idempotent = 10^(-5/4)\n"
+        "criterion inconclusive, single valuation (α/β = 4 >= 3)\n"
+    ),
+    ("7", "2"): (
+        "blow-up family with alpha = 7, beta = 2\n"
+        "root valuations of x1^4 - s^α x1 - s^(α+β):\n"
+        "  valuation 9/4 (4 roots): spectral norm of x^n at the idempotent = 10^(-9/4)\n"
+        "criterion inconclusive, single valuation (α/β = 7/2 >= 3)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("alpha,beta", list(VALUATIONS_TEXT))
+def test_valuations_text_is_pinned(capsys, alpha, beta):
+    code, out, err = run(capsys, "valuations", "--alpha", alpha, "--beta", beta)
+    assert (code, out, err) == (0, VALUATIONS_TEXT[alpha, beta], "")
+
+
 def test_valuations_invalid_regime(capsys):
     code, out, err = run(capsys, "valuations", "--alpha", "1", "--beta", "2")
     assert code == 1
