@@ -3,13 +3,14 @@
 Targets are either catalog entry names or paths to vertex-list files
 (rows are ray-polytope vertices by default; --primal reads a file's rows, or a
 catalog entry's rays, as moment-polytope vertices instead). Exit codes:
-0 success, 1 domain error, 2 parse/usage error.
+0 success, 1 domain error or a closed stdout, 2 parse/usage error.
 
 The layers every target needs load with this module; batyrev, potential,
 newton, and solver with numpy, load in the commands that use them.
 """
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -310,13 +311,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe, as `| head` does, raises here and not at exit
+        return code
+    except BrokenPipeError:  # the SIGPIPE recipe of Python's signal docs: quiet exit 1, exit flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

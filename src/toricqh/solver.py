@@ -4,25 +4,23 @@ root count and the semisimplicity verdict.
 
 Newton runs in logarithmic coordinates u (x = exp(u)), where the gradient
 and Hessian of W(exp(u)) are exact finite sums; the torus constraint
-disappears. Start k is the draw of np.random.default_rng([seed, k]),
-computed bit for bit for a range of k in one vectorised pass, so
-numpy.random is never loaded; the starts run through one batched Newton
-kernel, a pool of rows refilled from the queue as rows stop. Where Newton
-converges only linearly, at a degenerate critical point, a row takes the
-geometric limit of its steps, Schroeder's step at a multiple root (Decker,
-Keller and Kelley, SIAM J. Numer. Anal. 20, 1983; Griewank, SIAM Rev. 27,
-1985). The converged samples, as arrays, are canonically sorted, merged by
-relative distance cell by cell, and ranked by Hessian rank. One function,
-`_certified`, makes a point exact: at a rational candidate (a cluster centre
-snapped to small denominators, or the real input of `verify_point` read
-exactly) it reports residual 0 and the exact rank and value when the exact
-log-gradient vanishes there, so `exact` means that everywhere. The solver
-promises determinism for a fixed seed, independent of the pool width. Each
-x_i d_i W is supported on the rays, so by Bernstein's bound (Funct. Anal.
-Appl. 9, 1975) the lattice volume N bounds the isolated critical points with
-multiplicity; a default budget stops once its first 8N starts find N
-distinct nondegenerate points. Short of that, missing roots are reported as
-an honest deficit.
+disappears. The starts (`_starts`) run through one batched Newton kernel, a
+pool of rows refilled from the queue as rows stop. Where Newton converges
+only linearly, at a degenerate critical point, a row takes the geometric
+limit of its steps, Schroeder's step at a multiple root (Decker, Keller and
+Kelley, SIAM J. Numer. Anal. 20, 1983; Griewank, SIAM Rev. 27, 1985). The
+converged samples, as arrays, are canonically sorted, cut once into cells,
+ranked cell by cell, and merged by relative distance at a per-cell
+tolerance, wide in a degenerate cell. One function, `_certified`, makes a
+point exact: at a rational candidate (a cluster centre snapped to small
+denominators, or the real input of `verify_point` read exactly) it reports
+residual 0 and the exact rank and value when the exact log-gradient
+vanishes there, so `exact` means that everywhere. Each x_i d_i W is
+supported on the rays, so by Bernstein's bound (Funct. Anal. Appl. 9, 1975)
+the lattice volume N bounds the isolated critical points with multiplicity;
+a default budget stops once its first 8N starts find N distinct
+nondegenerate points. Short of that, missing roots are reported as an
+honest deficit.
 
 This module owns the one floating-point evaluation of W, `_terms`: Newton,
 the cluster centres and `verify_point` all read it. `potential` is exact.
@@ -51,6 +49,7 @@ MAX_ITERS = 100
 # samples of one simple point agree to about NEWTON_TOL * |H^-1|, while the
 # catalog's distinct critical points lie at least 0.2 apart
 CLUSTER_TOL = 1e-6
+WIDE_TOL = NEWTON_TOL ** 0.25  # NEWTON_TOL^(1/m) localizes a root of multiplicity m; covers m <= 4 (u8's: 3)
 RANK_TOL = 1e-8  # relative to the largest singular value
 # The linear regime, where a `_newton` row takes the geometric-limit step:
 LINEAR_RESIDUAL = 1e-4  # residual in [NEWTON_TOL, this): near a root, and not polishing
@@ -335,39 +334,42 @@ def _coord_key(coords):
     return tuple(part for z in coords for part in value_key(z))
 
 
-def _merge(X, R, sizes, tol):
-    """Fold each row of X into the first earlier kept cluster whose centre is
-    within relative distance tol in every complex coordinate; a row with a
-    lower residual R becomes the centre. Returns the kept clusters in order,
-    as dicts of their first row, centre row and summed size.
-
-    Near rows differ in the real and in the imaginary part of coordinate k by
-    at most the largest radius tol * |x_k| of that coordinate. So rows that a
-    gap of twice it (the factor 2 absorbs rounding) splits apart along any of
-    the 2 * dim sorted parts are never near, and no cluster spans two cells of
-    these cuts: each cell merges alone, its rows in order. A cell whose rows
-    all lie within a quarter of its smallest radius of its first row is one
-    cluster, centred at its first row of least residual; any other cell folds
-    its rows one at a time, against its own centres only.
-    """
+def _cells(X, tol):
+    """The rows of X in cells, as arrays of rows in order, cut at every gap of
+    twice the largest radius tol * |x_k| (the factor 2 absorbs rounding) in a
+    sorted part of coordinate k: rows within relative distance tol share one."""
     if not len(X):
         return []
-    # tol * max(|c|, |x|) is the larger of tol * |c| and tol * |x|, bit for bit
-    radii, sizes, cell = tol * np.abs(X), np.asarray(sizes), np.zeros(len(X), dtype=np.intp)
-    for part, radius in zip(np.concatenate([X.real, X.imag], axis=1).T, np.tile(radii.max(axis=0), 2)):
+    cell = np.zeros(len(X), dtype=np.intp)
+    for part, radius in zip(np.concatenate([X.real, X.imag], axis=1).T, np.tile(tol * np.abs(X).max(axis=0), 2)):
         order = np.argsort(part, kind="stable")
         cut = np.empty_like(cell)
         cut[order] = np.cumsum(np.diff(part[order], prepend=part[order[0]]) > 2 * radius)
         cell = np.unique(cell * len(X) + cut, return_inverse=True)[1]  # dense ids: no overflow
     order = np.argsort(cell, kind="stable")
-    kept = []
-    for rows in np.split(order, np.flatnonzero(np.diff(cell[order])) + 1):
-        if (np.abs(X[rows] - X[rows[0]]) <= radii[rows].min(axis=0) / 4).all():
+    return np.split(order, np.flatnonzero(np.diff(cell[order])) + 1)
+
+
+def _merge(X, R, sizes, tol, cells=None):
+    """Fold each row of X into the first earlier kept cluster whose centre is
+    within relative distance tol in every complex coordinate; a row with a
+    lower residual R becomes the centre. Returns the kept clusters in order,
+    as dicts of their first row, centre row and summed size. Each of the
+    `_cells` of X (cut at tol, or given with one tol each) merges alone, its
+    rows in order. A cell whose rows all lie within a quarter of its smallest
+    radius of its first row is one cluster, centred at its first row of least
+    residual; any other cell folds its rows one at a time, against its own
+    centres only."""
+    sizes, kept, cells = np.asarray(sizes), [], _cells(X, tol) if cells is None else cells
+    for rows, cell_tol in zip(cells, np.broadcast_to(tol, len(cells))):
+        # tol * max(|c|, |x|) is the larger of tol * |c| and tol * |x|, bit for bit
+        radii = cell_tol * np.abs(X[rows])
+        if (np.abs(X[rows] - X[rows[0]]) <= radii.min(axis=0) / 4).all():
             kept.append({"first": rows[0], "centre": rows[R[rows].argmin()], "size": int(sizes[rows].sum())})
             continue
-        centres, centre_radii, start = np.empty_like(X[rows]), np.empty_like(radii[rows]), len(kept)
-        for i in rows:
-            x, r, n = X[i], radii[i], len(kept) - start
+        centres, centre_radii, start = np.empty_like(X[rows]), np.empty_like(radii), len(kept)
+        for i, x, r in zip(rows, X[rows], radii):
+            n = len(kept) - start
             near = (np.abs(centres[:n] - x) <= np.maximum(centre_radii[:n], r)).all(axis=1)
             j = int(near.argmax()) if n else 0
             if n and near[j]:
@@ -407,39 +409,32 @@ def _verdict(points, expected_count) -> Verdict:
 
 def _points(W: Superpotential, exponents, coeffs, us, R) -> list[CriticalPoint]:
     """The distinct critical points of Newton runs that end at log coordinates
-    us with residuals R (inf: not converged): merged, snapped, ranked, sorted."""
+    us with residuals R (inf: not converged): merged, snapped, ranked, sorted.
+    A cell of the `_cells` at WIDE_TOL merges at WIDE_TOL if its first sample
+    of least residual ranks degenerate, else at CLUSTER_TOL. This assumes a
+    cell holds one point's samples unless distinct points lie within about
+    2e-3 (relative distance); two simple points in one cell still separate."""
     X, R = np.exp(us[np.isfinite(R)]), R[np.isfinite(R)]
     # canonical order: real, then imaginary part of each coordinate, then residual
     order = np.lexsort([R] + [part for z in X.T[::-1] for part in (z.imag, z.real)])
     X, R = X[order], R[order]
 
-    clusters = _merge(X, R, [1] * len(R), CLUSTER_TOL)
-    X, R = X[[cl["centre"] for cl in clusters]], R[[cl["centre"] for cl in clusters]]
+    cells = _cells(X, WIDE_TOL)
+    ranked = _numeric_points(exponents, coeffs, X[[rows[R[rows].argmin()] for rows in cells]])
+    clusters = _merge(X, R, [1] * len(R), [CLUSTER_TOL if p.nondegenerate else WIDE_TOL for p in ranked], cells)
     # Each centre re-checked at its reported coordinates: Newton's own
     # residual is exactly 0 on rows polished to zero.
-    numeric = _numeric_points(exponents, coeffs, X)
-    sizes = [cl["size"] for cl in clusters]
-
-    # A residual below tol only localizes a critical point of multiplicity m
-    # to about tol^(1/m), so samples around a degenerate point scatter far
-    # wider than CLUSTER_TOL. Re-merge degenerate clusters at tol^(1/4), which
-    # covers multiplicities up to 4 (u8's degenerate points have 3).
-    wide_tol = max(CLUSTER_TOL, NEWTON_TOL ** 0.25)
-    centre_of = {i: i for i, p in enumerate(numeric) if p.nondegenerate}
-    degenerate = [i for i, p in enumerate(numeric) if not p.nondegenerate]
-    for cl in _merge(X[degenerate], R[degenerate], [sizes[i] for i in degenerate], wide_tol):
-        centre_of[degenerate[cl["first"]]] = degenerate[cl["centre"]]
-        sizes[degenerate[cl["first"]]] = cl["size"]
+    numeric = _numeric_points(exponents, coeffs, X[[cl["centre"] for cl in clusters]])
 
     points = []
-    for first in sorted(centre_of):
-        point = replace(numeric[centre_of[first]], cluster_size=sizes[first])
+    for cl, point in zip(clusters, numeric):
+        point = replace(point, cluster_size=cl["size"])
         # Candidate: near-real coordinates rounded to denominators <= 12. A
         # generous tol cannot certify a wrong point, as the exact gradient must
         # vanish there; the bound only limits which rational points are found.
-        tol = CLUSTER_TOL if point.nondegenerate else wide_tol
+        snap = CLUSTER_TOL if point.nondegenerate else WIDE_TOL
         snapped = tuple(Fraction(z.real).limit_denominator(12) for z in point.coords)
-        near = all(abs(z.imag) <= tol and s != 0 and abs(float(s) - z.real) <= tol * max(1.0, abs(float(s)))
+        near = all(abs(z.imag) <= snap and s != 0 and abs(float(s) - z.real) <= snap * max(1.0, abs(float(s)))
                    for s, z in zip(snapped, point.coords))
         point = _certified(W, point, snapped if near else None)
         if point.exact or point.residual < NEWTON_TOL:

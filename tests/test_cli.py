@@ -1,4 +1,5 @@
 import ast
+import io
 import json
 import os
 import re
@@ -374,7 +375,15 @@ def test_a_non_isolated_critical_locus_names_no_setting(capsys):
     assert out == ""
     assert "not be isolated" in err and "cluster_tol" not in err
     # raised after all 200 * 12 starts, not from a default budget's first 8 * 12
-    assert err.startswith("error: found 15 distinct critical points, expected at most 12;")
+    assert err.startswith("error: found 21 distinct critical points, expected at most 12;")
+
+
+def test_samples_of_a_critical_curve_give_no_verdict(capsys):
+    # bl_points_3's W has curves of critical points; at this seed 12 samples
+    # of them once passed for isolated points, with a field_summand verdict
+    code, out, err = run(capsys, "solve", "bl_points_3", "--seed", "12")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: found 19 distinct critical points, expected at most 12;")
 
 
 def test_real_critical_values_print_without_noise(capsys):
@@ -493,6 +502,43 @@ def test_an_unreadable_target_is_a_parse_error(kind, tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith(f"parse error: cannot read {target}: ")
     assert "Traceback" not in proc.stderr
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, as under `| head`; its descriptor is a file."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_closed_stdout_ends_the_command_quietly(tmp_path, monkeypatch, capsys):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+    try:
+        assert run_cli(["solve", "cp2", "--starts", "50"]) == 1
+        os.write(fd, b"the flush at exit")  # goes to the null device now
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "stdout").read_bytes() == b""
+
+
+def test_a_closed_pipe_prints_no_traceback():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-c", "from toricqh.cli import main; main()", "catalog"],
+                              stdout=write, stderr=subprocess.PIPE, text=True, env=_src_env(), timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 @pytest.mark.parametrize("argv", [("fan", "bl_points_5"), ("presentation", "bl_points_5", "--json")])

@@ -249,6 +249,28 @@ def test_solve_matches_golden_reports(case):
     assert spectrum_to_json(report) == case["spectrum_json"]
 
 
+# basin size of each point of the golden reports with an explicit budget, in
+# report order, and which points are exact; `report_to_json` shows neither
+GOLDEN_BASINS = {
+    "u8": ([137, 333, 435, 246, 185, 164, 188, 537, 192, 191, 515, 188, 187, 165, 117, 301, 320, 392],
+           [2, 3, 16, 17]),
+    "bl_points_5": ([17, 7, 9, 6, 9, 7, 9, 9, 12, 8, 6, 7, 9, 8, 9, 9, 10, 7, 9, 10, 8, 16, 10, 12, 13, 13, 8, 8, 11,
+                     11, 13, 14, 14, 5, 9, 11, 10, 14, 16, 12, 12, 6, 9, 7, 14, 6, 7, 11, 8, 11, 12, 8, 11, 7, 6, 13,
+                     12, 10, 14, 11], [*range(16), *range(44, 60)]),
+}
+
+
+@pytest.mark.parametrize("case", [c for c in GOLDEN if c["starts"]], ids=lambda c: c["target"])
+def test_golden_reports_keep_their_basins(case):
+    fan, F = corpus.build(case["target"])
+    report = solve(build_potential(fan, F), case["expected"], SolverConfig(seed=case["seed"], starts=case["starts"]))
+    sizes, exact = GOLDEN_BASINS[case["target"]]
+    coords = [p["coords"] for p in json.loads(case["solve_json"])["points"]]
+    assert [[[z.real, z.imag] for z in p.coords] for p in report.points] == coords
+    assert [p.cluster_size for p in report.points] == sizes
+    assert [i for i, p in enumerate(report.points) if p.exact] == exact
+
+
 SEMISIMPLE_ENTRIES = [
     "cp1", "cp2", "cp3", "cp4", "cp5", "cp6", "cp1xcp1", "bl1_cp2", "bl2_cp2", "bl3_cp2", "bl_points_4", "bl_points_5"
 ]
@@ -425,6 +447,34 @@ def test_wide_merge_matches_scalar_reference():
     _assert_merge_matches_reference(1e-3)
 
 
+def test_merge_at_one_tolerance_per_cell_merges_each_cell_at_its_own():
+    # two points 0.2 apart, the samples of one scattered at about the wide
+    # tolerance and of the other at about CLUSTER_TOL; the wide cells part them
+    rng = np.random.default_rng(5)
+    samples = []
+    for tol, centre in ((1e-3, (1 + 1j, -2 + 0j)), (solver.CLUSTER_TOL, (1.2 + 1j, -2 + 0j))):
+        for _ in range(60):
+            noise = rng.normal(scale=0.6 * tol, size=(2, 2))
+            coords = tuple(z + abs(z) * complex(*n) for z, n in zip(centre, noise))
+            samples.append((coords, rng.uniform(1e-16, 1e-13), tol))
+    samples.sort(key=lambda item: ([part for z in item[0] for part in (z.real, z.imag)], item[1]))
+    X = np.array([c for c, _, _ in samples], dtype=complex)
+    R = np.array([r for _, r, _ in samples])
+    cells = solver._cells(X, 1e-3)
+    tols = [samples[rows[0]][2] for rows in cells]
+    assert sorted(tols) == [solver.CLUSTER_TOL, 1e-3]
+    expected = []
+    for rows, tol in zip(cells, tols):
+        for cl in _reference_merge([(samples[i][0], samples[i][1], 1) for i in rows], tol):
+            expected.append(dict(cl, first=rows[cl["first"]]))
+    got = [
+        {"first": cl["first"], "coords": samples[cl["centre"]][0], "residual": R[cl["centre"]], "size": cl["size"]}
+        for cl in solver._merge(X, R, [1] * len(R), tols, cells)
+    ]
+    assert got == sorted(expected, key=lambda cl: cl["first"])
+    assert len(got) > 2
+
+
 def _merge_cases(tol):
     """Samples that each stress one step of the cell-by-cell merge."""
     rng = np.random.default_rng(7)
@@ -567,6 +617,18 @@ def test_newton_work_on_u8_stays_bounded(monkeypatch):
     _, residuals = solver._newton(exponents, coeffs, solver._starts(5, 0, 4800, W.dim))
     assert np.isfinite(residuals).sum() > 4700
     assert sum(sizes) <= 70_000, (sum(sizes), len(sizes))
+
+
+def test_points_on_u8_decompose_few_hessians(monkeypatch):
+    # one log-Hessian per wide cell and one per cluster: 36 for u8's 4,800
+    # starts at seed 5, where a rank per CLUSTER_TOL cluster took 1,064
+    W, _ = build("u8")
+    exponents, coeffs = solver._arrays(W)
+    us, residuals = solver._newton(exponents, coeffs, solver._starts(5, 0, 4800, W.dim))
+    sizes, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda h, **kwargs: sizes.append(len(h)) or svd(h, **kwargs))
+    assert len(solver._points(W, exponents, coeffs, us, residuals)) == 18
+    assert sum(sizes) <= 64, sizes
 
 
 def test_newton_kernel_singular_hessian_rows_stop_alone():
