@@ -165,9 +165,7 @@ def _cmd_presentation(args) -> int:
         ok, witness = support.is_strictly_convex(F)
         if not ok:
             cone, ray = witness
-            raise DomainError(
-                f"support values are not strictly convex (cone {cone}, ray {ray})"
-            )
+            raise DomainError(f"support values are not strictly convex (cone {cone}, ray {ray})")
     pres = batyrev.presentation(fan, F)
     if args.json:
         print(batyrev.to_json(pres))

@@ -53,6 +53,10 @@ class OverCount(DomainError):
     pass
 
 
+class NotIsolated(DomainError):
+    pass
+
+
 class InvalidRegime(DomainError):
     pass
 

@@ -4,23 +4,19 @@ root count and the semisimplicity verdict.
 
 Newton runs in logarithmic coordinates u (x = exp(u)), where the gradient
 and Hessian of W(exp(u)) are exact finite sums; the torus constraint
-disappears. The starts (`_starts`) run through one batched Newton kernel, a
-pool of rows refilled from the queue as rows stop. Where Newton converges
-only linearly, at a degenerate critical point, a row takes the geometric
-limit of its steps, Schroeder's step at a multiple root (Decker, Keller and
-Kelley, SIAM J. Numer. Anal. 20, 1983; Griewank, SIAM Rev. 27, 1985). The
-converged samples, as arrays, are canonically sorted, cut once into cells,
-ranked cell by cell, and merged by relative distance at a per-cell
-tolerance, wide in a degenerate cell. One function, `_certified`, makes a
-point exact: at a rational candidate (a cluster centre snapped to small
-denominators, or the real input of `verify_point` read exactly) it reports
-residual 0 and the exact rank and value when the exact log-gradient
-vanishes there, so `exact` means that everywhere. Each x_i d_i W is
-supported on the rays, so by Bernstein's bound (Funct. Anal. Appl. 9, 1975)
-the lattice volume N bounds the isolated critical points with multiplicity;
-a default budget stops once its first 8N starts find N distinct
-nondegenerate points. Short of that, missing roots are reported as an
-honest deficit.
+disappears. The starts (`_starts`) run through one batched Newton kernel
+(`_newton`). Each cell of converged samples (`_cells`) is one critical
+point (`_points`); the verdicts count isolated points, so a degenerate
+point on a curve of critical points raises `NotIsolated` (`_isolated`). One
+function, `_certified`, makes a point exact: at a rational candidate (a
+cluster centre snapped to small denominators, or the real input of
+`verify_point` read exactly) it reports residual 0 and the exact rank and
+value when the exact log-gradient vanishes there, so `exact` means that
+everywhere. Each x_i d_i W is supported on the rays, so by Bernstein's
+bound (Funct. Anal. Appl. 9, 1975) the lattice volume N bounds the isolated
+critical points with multiplicity; a default budget stops once its first 8N
+starts find N distinct nondegenerate points. Short of that, missing roots
+are reported as an honest deficit.
 
 This module owns the one floating-point evaluation of W, `_terms`: Newton,
 the cluster centres and `verify_point` all read it. `potential` is exact.
@@ -34,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _exact, potential
-from .errors import NotCritical, OverCount
+from .errors import NotCritical, NotIsolated, OverCount
 from .potential import Superpotential
 
 
@@ -50,11 +46,15 @@ MAX_ITERS = 100
 # catalog's distinct critical points lie at least 0.2 apart
 CLUSTER_TOL = 1e-6
 WIDE_TOL = NEWTON_TOL ** 0.25  # NEWTON_TOL^(1/m) localizes a root of multiplicity m; covers m <= 4 (u8's: 3)
-RANK_TOL = 1e-8  # relative to the largest singular value
+# sigma_min / sigma_max of a degenerate log-Hessian: u8's degenerate centres read <= 9.67e-9, and every
+# other centre on the catalog >= 0.0557, except on the curves of critical points that `_isolated` reports
+RANK_TOL = 1e-5
 # The linear regime, where a `_newton` row takes the geometric-limit step:
 LINEAR_RESIDUAL = 1e-4  # residual in [NEWTON_TOL, this): near a root, and not polishing
 LINEAR_RATIO = (0.3, 0.95)  # step ratio r: below 0.3 Newton is fast; past 0.95, 1 / (1 - r) > 20 amplifies noise
 RATIO_AGREEMENT = 0.02  # r within 2% of the row's previous ratio: the steps shrink geometrically
+_CURVE_STEP, _CURVE_STEPS = 1e-2, 8  # `_isolated`'s step along the tangent, and its Gauss-Newton iterations
+CURVE_TOL = 1e-11  # witness residual of a curve: <= 6.4e-15 on bl_points_3's curves, >= 6.2e-8 at u8's points
 
 
 @dataclass(frozen=True)
@@ -236,22 +236,20 @@ def _newton(exponents, coeffs, u0):
     that did not converge.
 
     The rows run in one pool of at most _BLOCK active rows, refilled from
-    the queue of u0 whenever fewer are active; each row stops after its own
-    MAX_ITERS + _POLISH_STEPS evaluations. Near a degenerate critical point
-    Newton converges only linearly, each step about r times the last in
-    max-norm (Decker, Keller and Kelley 1983; Griewank 1985). A row whose
-    ratio r has settled (`LINEAR_RESIDUAL`, `LINEAR_RATIO`,
-    `RATIO_AGREEMENT`) takes the geometric limit delta / (1 - r) of its
-    steps instead of the step delta; at a root of multiplicity m, where r =
-    (m - 1) / m, that is Schroeder's step m * delta. Its ratio history then
-    starts afresh. Once a row's residual drops below NEWTON_TOL the
-    iteration keeps polishing with plain steps while it still improves:
-    stopping at the first sub-tolerance iterate would leave samples of a
-    degenerate point scattered at the square root of the tolerance. A row
-    also stops when it escapes (|Re u| > 50), its residual is not finite, it
-    stops improving or leaves the basin after a sub-tolerance iterate
-    (keeping the best one), its polish steps run out, or its Hessian is
-    singular.
+    the queue of u0; each row stops after its own MAX_ITERS + _POLISH_STEPS
+    evaluations. Near a degenerate critical point Newton converges only
+    linearly, each step about r times the last in max-norm (Decker, Keller
+    and Kelley, SIAM J. Numer. Anal. 20, 1983; Griewank, SIAM Rev. 27,
+    1985). A row whose ratio r has settled (`LINEAR_RESIDUAL`,
+    `LINEAR_RATIO`, `RATIO_AGREEMENT`) takes the geometric limit
+    delta / (1 - r) of its steps, Schroeder's step m * delta at a root of
+    multiplicity m, and its ratio history starts afresh. Below NEWTON_TOL a
+    row keeps polishing with plain steps while it improves, so samples of a
+    degenerate point do not scatter at the square root of the tolerance. A
+    row also stops when it escapes (|Re u| > 50), its residual is not
+    finite, it stops improving or leaves the basin after a sub-tolerance
+    iterate (keeping the best one), its polish steps run out, or its Hessian
+    is singular.
     """
     n = len(u0)
     outer = _outer(exponents)
@@ -329,11 +327,6 @@ def _numeric_points(exponents, coeffs, points) -> list[CriticalPoint]:
     ]
 
 
-def _coord_key(coords):
-    """A point's sort key: each coordinate's `value_key`, blind to the last bits."""
-    return tuple(part for z in coords for part in value_key(z))
-
-
 def _cells(X, tol):
     """The rows of X in cells, as arrays of rows in order, cut at every gap of
     twice the largest radius tol * |x_k| (the factor 2 absorbs rounding) in a
@@ -348,39 +341,6 @@ def _cells(X, tol):
         cell = np.unique(cell * len(X) + cut, return_inverse=True)[1]  # dense ids: no overflow
     order = np.argsort(cell, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(cell[order])) + 1)
-
-
-def _merge(X, R, sizes, tol, cells=None):
-    """Fold each row of X into the first earlier kept cluster whose centre is
-    within relative distance tol in every complex coordinate; a row with a
-    lower residual R becomes the centre. Returns the kept clusters in order,
-    as dicts of their first row, centre row and summed size. Each of the
-    `_cells` of X (cut at tol, or given with one tol each) merges alone, its
-    rows in order. A cell whose rows all lie within a quarter of its smallest
-    radius of its first row is one cluster, centred at its first row of least
-    residual; any other cell folds its rows one at a time, against its own
-    centres only."""
-    sizes, kept, cells = np.asarray(sizes), [], _cells(X, tol) if cells is None else cells
-    for rows, cell_tol in zip(cells, np.broadcast_to(tol, len(cells))):
-        # tol * max(|c|, |x|) is the larger of tol * |c| and tol * |x|, bit for bit
-        radii = cell_tol * np.abs(X[rows])
-        if (np.abs(X[rows] - X[rows[0]]) <= radii.min(axis=0) / 4).all():
-            kept.append({"first": rows[0], "centre": rows[R[rows].argmin()], "size": int(sizes[rows].sum())})
-            continue
-        centres, centre_radii, start = np.empty_like(X[rows]), np.empty_like(radii), len(kept)
-        for i, x, r in zip(rows, X[rows], radii):
-            n = len(kept) - start
-            near = (np.abs(centres[:n] - x) <= np.maximum(centre_radii[:n], r)).all(axis=1)
-            j = int(near.argmax()) if n else 0
-            if n and near[j]:
-                cl = kept[start + j]
-                cl["size"] += int(sizes[i])
-                if R[i] < R[cl["centre"]]:
-                    cl["centre"], centres[j], centre_radii[j] = i, x, r
-            else:
-                centres[n], centre_radii[n] = x, r
-                kept.append({"first": i, "centre": i, "size": int(sizes[i])})
-    return sorted(kept, key=lambda cl: cl["first"])
 
 
 def _certified(W: Superpotential, point: CriticalPoint, rational: tuple[Fraction, ...] | None) -> CriticalPoint:
@@ -407,13 +367,49 @@ def _verdict(points, expected_count) -> Verdict:
     return Verdict.UNDETERMINED
 
 
+def _isolated(exponents, coeffs, points) -> None:
+    """Raise NotIsolated at the first degenerate point that lies on a curve of
+    critical points. The witness, stacked over the degenerate points: a step
+    _CURVE_STEP along the log-Hessian's last right singular vector v, then
+    Gauss-Newton across v (`_newton_steps` on the normal equations, so a
+    singular row stops alone). On a curve the residual falls to rounding; at
+    an isolated point of multiplicity m it stays near _CURVE_STEP^m."""
+    degenerate = [p for p in points if not p.nondegenerate]
+    if not degenerate:
+        return
+    outer, u = _outer(exponents), np.log(np.array([p.coords for p in degenerate], dtype=complex))
+    vh = np.linalg.svd(_hessian(outer, _terms(exponents, coeffs, u)))[2]
+    tangent, across = vh[:, -1].conj(), vh[:, :-1].conj().swapaxes(1, 2)  # v and a basis of its complement
+    rows, u, least = np.arange(len(u)), u + _CURVE_STEP * tangent, np.full(len(u), np.inf)
+    for _ in range(_CURVE_STEPS):
+        t = _terms(exponents, coeffs, u)
+        g = _gradient(exponents, t)
+        least[rows] = np.minimum(least[rows], np.max(np.abs(g), axis=1))
+        j = _hessian(outer, t) @ across[rows]
+        jh = j.conj().swapaxes(1, 2)
+        delta, solvable = _newton_steps(jh @ j, (jh @ g[..., None])[..., 0])
+        u = u + (across[rows] @ delta[..., None])[..., 0]
+        keep = solvable & np.all(np.abs(u.real) <= _ESCAPE, axis=1)
+        rows, u = rows[keep], u[keep]
+    if (least < CURVE_TOL).any():
+        k = int((least < CURVE_TOL).argmax())
+        top = tangent[k][np.abs(tangent[k]).argmax()]
+        v = np.round(tangent[k] * abs(top) / top, 4) + 0j  # largest entry real; + 0j: no -0 parts
+        raise NotIsolated(
+            f"the degenerate critical point ({', '.join(f'{z:.6g}' for z in degenerate[k].coords)}) lies on a "
+            f"curve of critical points, tangent to ({', '.join(f'{z:.4g}' for z in v)}) in log coordinates "
+            f"(witness residual {least[k]:.1e}); the critical locus is not isolated"
+        )
+
+
 def _points(W: Superpotential, exponents, coeffs, us, R) -> list[CriticalPoint]:
     """The distinct critical points of Newton runs that end at log coordinates
-    us with residuals R (inf: not converged): merged, snapped, ranked, sorted.
-    A cell of the `_cells` at WIDE_TOL merges at WIDE_TOL if its first sample
-    of least residual ranks degenerate, else at CLUSTER_TOL. This assumes a
-    cell holds one point's samples unless distinct points lie within about
-    2e-3 (relative distance); two simple points in one cell still separate."""
+    us with residuals R (inf: not converged), sorted and checked by
+    `_isolated`. Each cell is one point, centred at its first sample of least
+    residual, its basin the cell's size: a `_cells` cell at WIDE_TOL that
+    ranks degenerate at that centre, or a cell of the other cells' samples
+    cut again at CLUSTER_TOL. So a degenerate wide cell is taken to be one
+    point: no other lies within about 2e-3 of a coordinate's largest modulus."""
     X, R = np.exp(us[np.isfinite(R)]), R[np.isfinite(R)]
     # canonical order: real, then imaginary part of each coordinate, then residual
     order = np.lexsort([R] + [part for z in X.T[::-1] for part in (z.imag, z.real)])
@@ -421,14 +417,16 @@ def _points(W: Superpotential, exponents, coeffs, us, R) -> list[CriticalPoint]:
 
     cells = _cells(X, WIDE_TOL)
     ranked = _numeric_points(exponents, coeffs, X[[rows[R[rows].argmin()] for rows in cells]])
-    clusters = _merge(X, R, [1] * len(R), [CLUSTER_TOL if p.nondegenerate else WIDE_TOL for p in ranked], cells)
+    simple = np.sort(np.concatenate([np.arange(0)] + [rows for rows, p in zip(cells, ranked) if p.nondegenerate]))
+    cells = [rows for rows, p in zip(cells, ranked) if not p.nondegenerate]
+    cells = sorted(cells + [simple[rows] for rows in _cells(X[simple], CLUSTER_TOL)], key=lambda rows: rows[0])
     # Each centre re-checked at its reported coordinates: Newton's own
     # residual is exactly 0 on rows polished to zero.
-    numeric = _numeric_points(exponents, coeffs, X[[cl["centre"] for cl in clusters]])
+    numeric = _numeric_points(exponents, coeffs, X[[rows[R[rows].argmin()] for rows in cells]])
 
     points = []
-    for cl, point in zip(clusters, numeric):
-        point = replace(point, cluster_size=cl["size"])
+    for rows, point in zip(cells, numeric):
+        point = replace(point, cluster_size=len(rows))
         # Candidate: near-real coordinates rounded to denominators <= 12. A
         # generous tol cannot certify a wrong point, as the exact gradient must
         # vanish there; the bound only limits which rational points are found.
@@ -439,7 +437,9 @@ def _points(W: Superpotential, exponents, coeffs, us, R) -> list[CriticalPoint]:
         point = _certified(W, point, snapped if near else None)
         if point.exact or point.residual < NEWTON_TOL:
             points.append(point)
-    return sorted(points, key=lambda p: _coord_key(p.coords))
+    points.sort(key=lambda p: tuple(part for z in p.coords for part in value_key(z)))  # blind to the last bits
+    _isolated(exponents, coeffs, points)
+    return points
 
 
 def solve(W: Superpotential, expected_count: int, cfg: SolverConfig = SolverConfig()) -> SolveReport:
@@ -453,6 +453,8 @@ def solve(W: Superpotential, expected_count: int, cfg: SolverConfig = SolverConf
 
     A default budget runs only the first _PROBE_PER_POINT starts per expected
     point if they close the count (see the module docstring), else all starts.
+    Raises NotIsolated on a curve of critical points, OverCount past
+    expected_count.
     """
     exponents, coeffs = _arrays(W)
     n_starts = cfg.budget(expected_count)
@@ -505,19 +507,13 @@ def classify(report: SolveReport) -> tuple[Verdict, str]:
             ranks = sorted(p.hessian_rank for p in report.points if not p.nondegenerate)
             lines.append(f"degenerate point ranks: {ranks}; not semisimple")
         if report.deficit > 0 and degenerate:
-            lines.append(
-                f"deficit {report.deficit} must be absorbed by multiplicities >= 2 "
-                "at degenerate points if no roots were missed"
-            )
+            lines.append(f"deficit {report.deficit} must be absorbed by multiplicities >= 2 "
+                         "at degenerate points if no roots were missed")
         elif report.deficit > 0:
             lines.append(f"deficit {report.deficit}: some roots were not located")
     else:
         lines.append("no nondegenerate critical point located: undetermined")
     return verdict, "; ".join(lines)
-
-
-def _fmt_complex(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
 
 
 def report_to_json(report: SolveReport) -> str:
@@ -526,7 +522,7 @@ def report_to_json(report: SolveReport) -> str:
         "found": report.found_count,
         "points": [
             {
-                "coords": [_fmt_complex(z) for z in p.coords],
+                "coords": [[z.real, z.imag] for z in p.coords],
                 "residual": p.residual,
                 "rank": p.hessian_rank,
                 "nondeg": p.nondegenerate,
@@ -534,7 +530,7 @@ def report_to_json(report: SolveReport) -> str:
             for p in report.points
         ],
         "verdict": report.verdict.value,
-        "critical_values": [_fmt_complex(z) for z in report.critical_values],
+        "critical_values": [[z.real, z.imag] for z in report.critical_values],
     }, sort_keys=True, indent=1)
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import match_complex_sets, match_point_sets, roots_of_unity
 from toricqh import corpus, potential, solver
 from toricqh.cli import run_cli
-from toricqh.errors import NotCritical, OverCount
+from toricqh.errors import NotCritical, NotIsolated, OverCount
 from toricqh.fan import kushnirenko_bound
 from toricqh.potential import Superpotential, Term, build_potential
 from toricqh.solver import (
@@ -392,120 +392,53 @@ def _reference_newton_run(exponents, coeffs, u0, tol, max_iters, polish_steps=30
     return best
 
 
-def _reference_merge(samples, tol):
-    """First-match merge by complex modulus, one pair of points at a time,
-    over (coords, residual, size) samples."""
-    clusters = []
-    for k, (coords, res, size) in enumerate(samples):
-        for cl in clusters:
-            if all(abs(a - b) <= tol * max(abs(a), abs(b)) for a, b in zip(coords, cl["coords"])):
-                cl["size"] += size
-                if res < cl["residual"]:
-                    cl["coords"], cl["residual"] = coords, res
-                break
-        else:
-            clusters.append({"first": k, "coords": coords, "residual": res, "size": size})
-    return clusters
+def _reference_cells(X, tol):
+    """`_cells` one row at a time: rows share a cell unless some part (real
+    or imaginary) of some coordinate k, sorted, has a gap above twice
+    tol * max |x_k| between them. Returns the cells as sorted row lists."""
+    keys = [[] for _ in X]
+    for k in range(len(X[0]) if len(X) else 0):
+        radius = tol * max(abs(complex(row[k])) for row in X)
+        for part in ([complex(row[k]).real for row in X], [complex(row[k]).imag for row in X]):
+            order = sorted(range(len(X)), key=lambda i: part[i])
+            group = 0
+            for previous, i in zip([order[0]] + order, order):
+                group += part[i] - part[previous] > 2 * radius
+                keys[i].append(group)
+    cells = {}
+    for i, key in enumerate(keys):
+        cells.setdefault(tuple(key), []).append(i)
+    return sorted(cells.values())
 
 
-def _assert_merge_agrees(samples, tol):
-    """`_merge` on the canonically sorted samples (raw real, then imaginary
-    part of each coordinate, then residual, as in `_points`) equals
-    `_reference_merge`; returns the clusters."""
-    samples = sorted(samples, key=lambda item: ([part for z in item[0] for part in (z.real, z.imag)], item[1]))
-    X = np.array([c for c, _, _ in samples], dtype=complex)
-    R = np.array([r for _, r, _ in samples])
-    got = [
-        {"first": cl["first"], "coords": samples[cl["centre"]][0], "residual": R[cl["centre"]], "size": cl["size"]}
-        for cl in solver._merge(X, R, [size for _, _, size in samples], tol)
-    ]
-    expected = _reference_merge(samples, tol)
-    assert got == expected
-    return got
+def _assert_cells_match_reference(X, tol):
+    X = np.array(X, dtype=complex)
+    cells = solver._cells(X, tol)
+    assert all(list(rows) == sorted(rows) for rows in cells)
+    assert sorted(rows.tolist() for rows in cells) == _reference_cells(X, tol)
+    return cells
 
 
-def _assert_merge_matches_reference(tol):
-    # Samples scattered around a few centres at about the merge radius, so
-    # that which sample is a cluster's centre decides later matches.
-    rng = np.random.default_rng(11)
-    centres = [(1.0 + 1.0j, -2.0 + 0.0j), (1.0 + 1.0j, -2.0 + 3j * tol), (0.5j, 4.0 + 0.0j)]
-    samples = []
-    for _ in range(400):
-        c = centres[rng.integers(len(centres))]
-        noise = rng.normal(scale=0.6 * tol, size=(2, 2))
-        coords = tuple(z + abs(z) * complex(*n) for z, n in zip(c, noise))
-        samples.append((coords, float(rng.uniform(1e-16, 1e-13)), 1))
-    assert len(_assert_merge_agrees(samples, tol)) > len(centres)
-
-
-def test_merge_matches_scalar_reference():
-    _assert_merge_matches_reference(solver.CLUSTER_TOL)
-
-
-def test_wide_merge_matches_scalar_reference():
-    # about the wide tolerance NEWTON_TOL ** 0.25 of the degenerate re-merge
-    _assert_merge_matches_reference(1e-3)
-
-
-def test_merge_at_one_tolerance_per_cell_merges_each_cell_at_its_own():
-    # two points 0.2 apart, the samples of one scattered at about the wide
-    # tolerance and of the other at about CLUSTER_TOL; the wide cells part them
-    rng = np.random.default_rng(5)
-    samples = []
-    for tol, centre in ((1e-3, (1 + 1j, -2 + 0j)), (solver.CLUSTER_TOL, (1.2 + 1j, -2 + 0j))):
-        for _ in range(60):
-            noise = rng.normal(scale=0.6 * tol, size=(2, 2))
-            coords = tuple(z + abs(z) * complex(*n) for z, n in zip(centre, noise))
-            samples.append((coords, rng.uniform(1e-16, 1e-13), tol))
-    samples.sort(key=lambda item: ([part for z in item[0] for part in (z.real, z.imag)], item[1]))
-    X = np.array([c for c, _, _ in samples], dtype=complex)
-    R = np.array([r for _, r, _ in samples])
-    cells = solver._cells(X, 1e-3)
-    tols = [samples[rows[0]][2] for rows in cells]
-    assert sorted(tols) == [solver.CLUSTER_TOL, 1e-3]
-    expected = []
-    for rows, tol in zip(cells, tols):
-        for cl in _reference_merge([(samples[i][0], samples[i][1], 1) for i in rows], tol):
-            expected.append(dict(cl, first=rows[cl["first"]]))
-    got = [
-        {"first": cl["first"], "coords": samples[cl["centre"]][0], "residual": R[cl["centre"]], "size": cl["size"]}
-        for cl in solver._merge(X, R, [1] * len(R), tols, cells)
-    ]
-    assert got == sorted(expected, key=lambda cl: cl["first"])
-    assert len(got) > 2
-
-
-def _merge_cases(tol):
-    """Samples that each stress one step of the cell-by-cell merge."""
-    rng = np.random.default_rng(7)
-
-    def res():
-        return float(rng.uniform(1e-16, 1e-13))
-
+def _cell_cases(tol):
+    """Rows that each stress one step of the cut."""
     chain = [1 + 0.9 * tol * k for k in range(12)]  # each row within tol of the next only
     return {
-        "equal first coordinate": [((1 + 1j, 2 + 3j * tol * k), res(), 1) for k in (0, 1, 0, 2, 1, 0)],
-        "chain, centre moves": [((x, 1j), 1e-13 - 1e-15 * k, 1) for k, x in enumerate(chain)],
-        "chain, centre stays": [((x, 1j), 1e-15 * (k + 1), 1) for k, x in enumerate(chain)],
-        "chain, mixed residuals": [((x, 1j), res(), 1) for x in chain],
-        "far outlier": [((math.exp(49) * (0.6 + 0.8j), 1 + 0j), res(), 1)]
-        + [((1 + 0.3 * tol * k, 1 + 0j), res(), 1) for k in range(8)],
-        "tied duplicates": [((0.5j, 4 + 0j), 1e-14, 1)] * 3
-        + [((0.5j, 4 + 0.8 * tol), 1e-14, 1)] * 2
-        + [((0.5j, 4 + 0j), 1e-15, 1)] * 2,
-        "sizes above 1": [((x, 1j), res(), int(rng.integers(2, 6))) for x in chain]
-        + [((1 + 1j, 2 + 0j), res(), 3)] * 2,
+        "equal first coordinate": [(1 + 1j, 2 + 3j * tol * k) for k in (0, 1, 0, 2, 1, 0)],
+        "chain": [(x, 1j) for x in chain],
+        "far outlier": [(math.exp(49) * (0.6 + 0.8j), 1 + 0j)] + [(1 + 0.3 * tol * k, 1 + 0j) for k in range(8)],
+        "tied duplicates": [(0.5j, 4 + 0j)] * 3 + [(0.5j, 4 + 0.8 * tol)] * 2 + [(0.5j, 4 + 5 * tol)] * 2,
+        "two points": [(1 + 1j, -2 + 0j), (1 + 1j, -2 + 3j * tol)] * 3 + [(0.5j, 4 + 0j)] * 2,
     }
 
 
 @pytest.mark.parametrize("tol", [solver.CLUSTER_TOL, 1e-3])
-@pytest.mark.parametrize("case", list(_merge_cases(1e-6)))
-def test_merge_cases_match_scalar_reference(case, tol):
-    clusters = _assert_merge_agrees(_merge_cases(tol)[case], tol)
-    if case == "chain, centre moves":
-        assert len(clusters) == 1
-    if case == "chain, centre stays":
-        assert len(clusters) > 2
+@pytest.mark.parametrize("case", list(_cell_cases(1e-6)))
+def test_cells_match_scalar_reference(case, tol):
+    cells = _assert_cells_match_reference(_cell_cases(tol)[case], tol)
+    if case == "chain":  # the cut links a chain into one cell
+        assert len(cells) == 1
+    if case == "far outlier":  # its modulus sets the radius, so the other rows share one cell
+        assert sorted(map(len, cells)) == [1, 8]
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -516,17 +449,104 @@ def test_merge_cases_match_scalar_reference(case, tol):
     spread=st.sampled_from([0.05, 0.3, 1.0, 3.0]),
     tol=st.sampled_from([solver.CLUSTER_TOL, 1e-3]),
 )
-def test_merge_matches_scalar_reference_on_clustered_rows(seed, dim, n_centres, spread, tol):
+def test_cells_match_scalar_reference_on_clustered_rows(seed, dim, n_centres, spread, tol):
     rng = np.random.default_rng(seed)
     centres = rng.uniform(-2, 2, (n_centres, dim)) + 1j * rng.uniform(-2, 2, (n_centres, dim))
     centres[-1, 0] = centres[0, 0]  # two centres may share their first coordinate
-    samples = []
+    rows = []
     for _ in range(int(rng.integers(1, 80))):
         c = centres[rng.integers(n_centres)]
-        z = c + np.abs(c) * spread * tol * (rng.normal(size=dim) + 1j * rng.normal(size=dim))
-        residual = float(rng.choice([1e-15, 1e-14, rng.uniform(1e-16, 1e-13)]))
-        samples.append((tuple(z.tolist()), residual, int(rng.integers(1, 4))))
-    _assert_merge_agrees(samples, tol)
+        rows.append(c + np.abs(c) * spread * tol * (rng.normal(size=dim) + 1j * rng.normal(size=dim)))
+    _assert_cells_match_reference(rows, tol)
+
+
+def _points_of(W, samples):
+    """`_points` on hand-built (coords, residual) samples; residual inf marks
+    a run that did not converge."""
+    exponents, coeffs = solver._arrays(W)
+    us = np.log(np.array([c for c, _ in samples], dtype=complex).reshape(len(samples), W.dim))
+    return solver._points(W, exponents, coeffs, us, np.array([r for _, r in samples]))
+
+
+def _near_simple_pair(a, b):
+    """A W on a 1-torus whose log-gradient (x - a)(x - b)(x - c) / x has
+    simple roots at a and b (c makes its constant term vanish)."""
+    c = -a * b / (a + b)
+    terms = [((2,), 0.5), ((1,), -(a + b + c)), ((-1,), a * b * c)]
+    return Superpotential(1, tuple(Term(e, k, Fraction(0)) for e, k in terms))
+
+
+def _corank_two():
+    """W = f(x) + f(y) with f = (x - 1)^3 / x: critical points (1, 1) of
+    log-Hessian rank 0, (1, -1/2) and (-1/2, 1) of rank 1, (-1/2, -1/2) of
+    rank 2."""
+    terms = [((2, 0), 1.0), ((1, 0), -3.0), ((0, 0), 6.0), ((-1, 0), -1.0),
+             ((0, 2), 1.0), ((0, 1), -3.0), ((0, -1), -1.0)]
+    return Superpotential(2, tuple(Term(e, c, Fraction(0)) for e, c in terms))
+
+
+def test_two_simple_points_in_one_wide_cell_stay_two():
+    # 1e-4 apart, relative: one cell at WIDE_TOL, two at CLUSTER_TOL
+    a, b = 0.7, 0.7 * (1 + 1e-4)
+    rng = np.random.default_rng(3)
+    samples = [((a,), 1e-15), ((b,), 1e-15)]
+    samples += [((z * (1 + 1e-10 * rng.normal()),), 1e-13) for z in [a] * 4 + [b] * 2]
+    assert len(solver._cells(np.array([[a], [b]], dtype=complex), solver.WIDE_TOL)) == 1
+    points = _points_of(_near_simple_pair(a, b), samples)
+    assert [(p.coords, p.nondegenerate, p.cluster_size) for p in points] == [((a,), True, 5), ((b,), True, 3)]
+
+
+def test_a_degenerate_cell_is_one_point_with_its_samples_as_basin():
+    # a double root of the log-gradient at x = 1, samples spread over 1e-4
+    W = Superpotential(1, tuple(Term(e, c, Fraction(0)) for e, c in [((2,), 1.0), ((1,), -3.0), ((-1,), -1.0)]))
+    samples = [((1 + 2.5e-5 * k,), 1e-13 * (1 + abs(k))) for k in range(-2, 3)] + [((1.5,), np.inf)]
+    (point,) = _points_of(W, samples)
+    assert (point.coords, point.hessian_rank, point.cluster_size, point.exact) == ((1,), 0, 5, True)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    counts=st.lists(st.integers(0, 6), min_size=4, max_size=4),
+    spread=st.sampled_from([1e-9, 1e-6, 1e-4]),
+)
+def test_points_lie_in_wide_cells_and_basins_sum_to_converged_samples(seed, counts, spread):
+    # samples of the four critical points of `_corank_two`, each with one
+    # exact sample of least residual; the degenerate ones scattered at spread
+    rng = np.random.default_rng(seed)
+    samples = [((3.0 + 1j, 0.2 + 0j), np.inf)] * int(rng.integers(0, 3))  # runs that did not converge
+    for (x, y), count in zip([(-0.5, -0.5), (-0.5, 1.0), (1.0, -0.5), (1.0, 1.0)], counts):
+        scale = 1e-9 if x == y == -0.5 else spread
+        noise = scale * (rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2)))
+        samples += [((x, y), 1e-16)] * bool(count) + [((x + dx, y + dy), 1e-13) for dx, dy in noise[1:]]
+    rng.shuffle(samples)
+    points = _points_of(_corank_two(), samples)
+    X = np.array([c for c, r in samples if np.isfinite(r)], dtype=complex)
+    cells = solver._cells(X, solver.WIDE_TOL)
+    for p in points:
+        homes = [rows for rows in cells if (np.abs(X[rows] - p.coords) <= 1e-3).all(axis=1).any()]
+        assert len(homes) == 1 and p.cluster_size <= len(homes[0])
+    assert sum(p.cluster_size for p in points) == len(X)
+    assert len(points) == sum(map(bool, counts))
+
+
+def test_a_corank_two_point_stops_the_witness_alone():
+    # the witness's normal equations are exactly singular at (1, 1), where the
+    # log-Hessian vanishes; only that row stops
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = solve(_corank_two(), 16, SolverConfig(seed=0, starts=400))
+    assert [(p.coords, p.hessian_rank, p.exact) for p in report.points] == [
+        ((-0.5, -0.5), 2, True), ((-0.5, 1), 1, True), ((1, -0.5), 1, True), ((1, 1), 0, True)]
+
+
+def test_a_curve_of_critical_points_is_not_isolated():
+    # W = xy + 1 / (xy) is critical on the curves xy = 1 and xy = -1, along
+    # the log direction (1, -1)
+    W = Superpotential(2, (Term((1, 1), 1.0, Fraction(0)), Term((-1, -1), 1.0, Fraction(0))))
+    tangent = r"\((0\.7071\+0j, -0\.7071|-0\.7071\+0j, 0\.7071)\+0j\)"  # (1, -1) / sqrt(2), either sign
+    with pytest.raises(NotIsolated, match=r"point \(1\+0j, 1\+0j\) lies on a curve .* tangent to " + tangent):
+        _points_of(W, [((1.0, 1.0), 1e-16), ((2.0, 0.5), 1e-16)])
 
 
 def _seeded_starts(dim, n, seed=3):
@@ -620,15 +640,23 @@ def test_newton_work_on_u8_stays_bounded(monkeypatch):
 
 
 def test_points_on_u8_decompose_few_hessians(monkeypatch):
-    # one log-Hessian per wide cell and one per cluster: 36 for u8's 4,800
-    # starts at seed 5, where a rank per CLUSTER_TOL cluster took 1,064
+    # one log-Hessian rank per wide cell and one per point: 36 for u8's
+    # 4,800 starts at seed 5, where a rank per CLUSTER_TOL cluster took
+    # 1,064; the curve witness decomposes the 3 degenerate points' only
     W, _ = build("u8")
     exponents, coeffs = solver._arrays(W)
     us, residuals = solver._newton(exponents, coeffs, solver._starts(5, 0, 4800, W.dim))
-    sizes, svd = [], np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda h, **kwargs: sizes.append(len(h)) or svd(h, **kwargs))
-    assert len(solver._points(W, exponents, coeffs, us, residuals)) == 18
-    assert sum(sizes) <= 64, sizes
+    ranks, witness, svd = [], [], np.linalg.svd
+
+    def counted(h, compute_uv=True):
+        (witness if compute_uv else ranks).append(len(h))
+        return svd(h, compute_uv=compute_uv)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    points = solver._points(W, exponents, coeffs, us, residuals)
+    assert len(points) == 18 and sum(not p.nondegenerate for p in points) == 3
+    assert sum(ranks) <= 64, ranks
+    assert witness == [3]
 
 
 def test_newton_kernel_singular_hessian_rows_stop_alone():
