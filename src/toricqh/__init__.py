@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 # public name -> the module that defines it, listed module by module
 _LAZY = {name: module for module, names in (
-    ("batyrev", "Presentation linear_ideal presentation quantum_sr_generators"),
+    ("batyrev", "Presentation presentation quantum_sr_generators"),
     ("corpus", "CatalogEntry catalog entry parse_polytope"),
     ("fan", "Cone Fan fan_from_reflexive is_complete is_smooth minimal_cone_containing "
             "primitive_collections"),

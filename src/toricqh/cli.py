@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import corpus, support
-from .errors import DomainError, ParseError
+from .errors import DomainError, OriginNotInterior, ParseError
 from .fan import fan_from_reflexive, is_complete, is_smooth, kushnirenko_bound, primitive_collections
 from .lattice import Polytope, dual_polytope, is_delzant, is_reflexive, lattice_points
 
@@ -112,15 +112,24 @@ def _cmd_check(args) -> int:
     entry, rows = _resolve(args.target)
     P = Polytope.from_points(rows)
     print(f"input: {args.target}")
-    ray_poly = dual_polytope(P) if args.primal else P
-    refl, why = is_reflexive(ray_poly)
-    print("ray polytope (dual side):")
-    print(f"  vertices: {len(ray_poly.vertices)}")
-    print(f"  facets: {len(ray_poly.facets)}")
-    print(f"  lattice points: {len(lattice_points(ray_poly))}")
-    print(f"  reflexive: {'yes' if refl else f'no ({why})'}")
-    if not refl:
-        raise DomainError(f"not reflexive: {why}")
+    # a Delzant moment polytope has its normal fan whether or not its ray polytope exists or is reflexive
+    has_fan = args.primal and is_delzant(P)[0]
+    try:
+        ray_poly = dual_polytope(P) if args.primal else P
+    except OriginNotInterior as exc:
+        if not has_fan:
+            raise
+        print("ray polytope (dual side):")
+        print(f"  none: the moment polytope has no polar dual ({exc})")
+    else:
+        refl, why = is_reflexive(ray_poly)
+        print("ray polytope (dual side):")
+        print(f"  vertices: {len(ray_poly.vertices)}")
+        print(f"  facets: {len(ray_poly.facets)}")
+        print(f"  lattice points: {len(lattice_points(ray_poly))}")
+        print(f"  reflexive: {'yes' if refl else f'no ({why})'}")
+        if not refl and not has_fan:
+            raise DomainError(f"not reflexive: {why}")
     moment = P if args.primal else dual_polytope(P)
     delz, dwhy = is_delzant(moment)
     print("moment polytope (primal side):")
@@ -192,7 +201,12 @@ def _solve_target(args):
         cfg = solver.SolverConfig(seed=args.seed, starts=args.starts)
     except ValueError as exc:  # each message opens with the field it rejects
         raise ParseError(f"--{str(exc).split()[0]}: {exc}") from None
-    return label, cfg, solver.solve(W, kushnirenko_bound(fan), cfg)
+    expected = kushnirenko_bound(fan)
+    try:
+        return label, cfg, solver.solve(W, expected, cfg)
+    except MemoryError:  # `_starts` draws each start's row at once
+        raise DomainError(f"not enough memory to run {cfg.budget(expected)} Newton starts; "
+                          "give a smaller --starts") from None
 
 
 def _cmd_solve(args) -> int:
@@ -214,9 +228,8 @@ def _cmd_solve(args) -> int:
             f"  {_fmt_point(p.coords)}  residual={residual}  rank={p.hessian_rank}  "
             f"{kind}  basin={p.cluster_size}"
         )
-    verdict, why = solver.classify(report)
-    print(f"verdict: {verdict.value}")
-    print(f"justification: {why}")
+    print(f"verdict: {report.verdict.value}")
+    print(f"justification: {solver.classify(report)}")
     print("critical values:")
     for z in report.critical_values:
         print(f"  {_fmt_value(z)}")

@@ -132,7 +132,6 @@ class CatalogEntry:
     dim: int
     dual_vertices: tuple[IntVec, ...]
     provenance: str
-    monotone_ample: bool = True  # False when the anticanonical class is only nef
     fan_builder: Callable[[], Fan] | None = field(default=None, compare=False)
 
     def ray_polytope(self) -> Polytope:
@@ -167,7 +166,6 @@ def _entries() -> list[CatalogEntry]:
             CatalogEntry(
                 f"bl_points_{d}", d, bl_points_vertices(d),
                 f"projective {d}-space blown up at {d + 1} torus-fixed points",
-                monotone_ample=False,
                 fan_builder=lambda d=d: bl_points_fan(d),
             )
         )

@@ -96,24 +96,19 @@ def is_complete(f: Fan) -> bool:
     return True
 
 
-def minimal_cone_containing(f: Fan, v) -> tuple[Cone, dict[int, int]]:
-    """The unique cone with `v` in its relative interior, plus the positive
-    integral coordinates of `v` in that cone's ray basis."""
+def minimal_cone_containing(f: Fan, v) -> dict[int, int]:
+    """The positive integral coordinates of `v` in the ray basis of the unique
+    cone with `v` in its relative interior; its keys, in cone order, are
+    that cone."""
     if not is_complete(f):
         raise NotComplete("minimal cone location needs a complete fan")
     if not is_smooth(f)[0]:
         raise NotSmooth("minimal cone location needs a smooth fan")
     v = tuple(int(x) for x in v)
-    if all(x == 0 for x in v):
-        return (), {}
     for cone in f.maximal_cones:
         x = _exact.solve(list(zip(*f.ray_matrix(cone))), v)
-        if x is None or any(c < 0 for c in x):
-            continue
-        if any(c.denominator != 1 for c in x):
-            continue  # cannot happen for smooth cones and integral v
-        coeffs = {i: int(c) for i, c in zip(cone, x) if c > 0}
-        return tuple(coeffs), coeffs
+        if x is not None and all(c >= 0 for c in x):  # integral: the cone is unimodular and v integral
+            return {i: int(c) for i, c in zip(cone, x) if c > 0}
     raise NotComplete("no cone contains the given vector")  # unreachable when complete
 
 

@@ -241,22 +241,16 @@ def _triangulate(P: Polytope, face: frozenset[int], k: int) -> list[tuple[int, .
     return simplices
 
 
-def normalized_volume(P: Polytope, apex=None) -> Fraction:
+def normalized_volume(P: Polytope) -> Fraction:
     """d! times the Euclidean volume of P, exactly.
 
-    Decomposes P into pyramids over its facets from an interior apex
-    (default: vertex centroid), then triangulates each facet.
+    Decomposes P into pyramids over its facets from its vertex centroid, an
+    interior point, then triangulates each facet.
     """
-    d = P.dim
-    if apex is None:
-        n = len(P.vertices)
-        apex = tuple(sum(v[i] for v in P.vertices) / n for i in range(d))
-    else:
-        apex = ratvec(apex)
+    d, n = P.dim, len(P.vertices)
+    apex = tuple(sum(v[i] for v in P.vertices) / n for i in range(d))
     total = Fraction(0)
-    for f, face in zip(P.facets, P.incidence):
-        if dot(apex, f.normal) == f.offset:
-            continue
+    for face in P.incidence:
         for tri in _triangulate(P, face, d - 1):
             total += abs(_exact.det([vsub(P.vertices[i], apex) for i in tri]))
     return total

@@ -78,10 +78,13 @@ class CriticalPoint:
     coords: tuple[complex, ...]
     residual: float
     hessian_rank: int
-    nondegenerate: bool
     cluster_size: int
     value: complex  # W at the point: a critical value
     exact: bool = False  # residual, rank and value computed over the rationals
+
+    @property
+    def nondegenerate(self) -> bool:
+        return self.hessian_rank == len(self.coords)
 
 
 def value_key(z: complex) -> tuple[float, float]:
@@ -95,8 +98,16 @@ def value_key(z: complex) -> tuple[float, float]:
 class SolveReport:
     expected_count: int
     points: tuple[CriticalPoint, ...]
-    verdict: Verdict
     starts: int = 0  # Newton starts run
+
+    @property
+    def verdict(self) -> Verdict:
+        """Semisimple when all expected points are found nondegenerate, a
+        field summand when at least one is nondegenerate, else undetermined."""
+        nondegenerate = sum(p.nondegenerate for p in self.points)
+        if nondegenerate == self.found_count == self.expected_count:
+            return Verdict.SEMISIMPLE
+        return Verdict.FIELD_SUMMAND if nondegenerate else Verdict.UNDETERMINED
 
     @property
     def spectrum(self) -> tuple[tuple[complex, bool], ...]:
@@ -322,7 +333,7 @@ def _numeric_points(exponents, coeffs, points) -> list[CriticalPoint]:
     sv = np.linalg.svd(_hessian(_outer(exponents), t), compute_uv=False)
     ranks = np.sum(sv > RANK_TOL * sv[:, :1], axis=1).tolist()
     return [
-        CriticalPoint(tuple(p), float(r), k, k == len(p), 1, complex(v))
+        CriticalPoint(tuple(p), float(r), k, 1, complex(v))
         for p, r, k, v in zip(points.tolist(), residuals, ranks, t.sum(axis=1))
     ]
 
@@ -355,16 +366,7 @@ def _certified(W: Superpotential, point: CriticalPoint, rational: tuple[Fraction
         return point
     rank = _exact.rank([list(row) for row in hessian])
     return replace(point, coords=tuple(complex(float(x), 0.0) for x in rational), residual=0.0, hessian_rank=rank,
-                   nondegenerate=rank == len(rational), value=complex(value), exact=True)
-
-
-def _verdict(points, expected_count) -> Verdict:
-    nondegenerate = [p for p in points if p.nondegenerate]
-    if len(points) == expected_count and len(nondegenerate) == expected_count:
-        return Verdict.SEMISIMPLE
-    if nondegenerate:
-        return Verdict.FIELD_SUMMAND
-    return Verdict.UNDETERMINED
+                   value=complex(value), exact=True)
 
 
 def _isolated(exponents, coeffs, points) -> None:
@@ -460,17 +462,17 @@ def solve(W: Superpotential, expected_count: int, cfg: SolverConfig = SolverConf
     n_starts = cfg.budget(expected_count)
     probe = min(n_starts, _PROBE_PER_POINT * expected_count) if cfg.starts is None else n_starts
     us, R = _newton(exponents, coeffs, _starts(cfg.seed, 0, probe, W.dim))
-    points = _points(W, exponents, coeffs, us, R)
-    if probe < n_starts and _verdict(points, expected_count) is not Verdict.SEMISIMPLE:
+    report = SolveReport(expected_count, tuple(_points(W, exponents, coeffs, us, R)), len(us))
+    if probe < n_starts and report.verdict is not Verdict.SEMISIMPLE:
         rest_us, rest_R = _newton(exponents, coeffs, _starts(cfg.seed, probe, n_starts, W.dim))
         us, R = np.concatenate([us, rest_us]), np.concatenate([R, rest_R])
-        points = _points(W, exponents, coeffs, us, R)
-    if len(points) > expected_count:
+        report = SolveReport(expected_count, tuple(_points(W, exponents, coeffs, us, R)), len(us))
+    if report.found_count > expected_count:
         raise OverCount(
-            f"found {len(points)} distinct critical points, expected at most {expected_count}; "
+            f"found {report.found_count} distinct critical points, expected at most {expected_count}; "
             "the critical locus may not be isolated, or expected_count is wrong"
         )
-    return SolveReport(expected_count, tuple(points), _verdict(points, expected_count), len(us))
+    return report
 
 
 def verify_point(W: Superpotential, p) -> CriticalPoint:
@@ -490,18 +492,17 @@ def verify_point(W: Superpotential, p) -> CriticalPoint:
     return point
 
 
-def classify(report: SolveReport) -> tuple[Verdict, str]:
-    """Verdict plus a human-readable justification citing counts and ranks."""
+def classify(report: SolveReport) -> str:
+    """A human-readable justification of the report's verdict, citing counts and ranks."""
     nondeg = sum(1 for p in report.points if p.nondegenerate)
     degenerate = report.found_count - nondeg
     lines = [
         f"found {report.found_count} of {report.expected_count} expected critical points "
         f"({nondeg} nondegenerate, {degenerate} degenerate)"
     ]
-    verdict = report.verdict
-    if verdict is Verdict.SEMISIMPLE:
+    if report.verdict is Verdict.SEMISIMPLE:
         lines.append("all expected critical points found and nondegenerate: semisimple")
-    elif verdict is Verdict.FIELD_SUMMAND:
+    elif report.verdict is Verdict.FIELD_SUMMAND:
         lines.append("at least one nondegenerate critical point: contains a field direct summand")
         if degenerate:
             ranks = sorted(p.hessian_rank for p in report.points if not p.nondegenerate)
@@ -513,7 +514,7 @@ def classify(report: SolveReport) -> tuple[Verdict, str]:
             lines.append(f"deficit {report.deficit}: some roots were not located")
     else:
         lines.append("no nondegenerate critical point located: undetermined")
-    return verdict, "; ".join(lines)
+    return "; ".join(lines)
 
 
 def report_to_json(report: SolveReport) -> str:

@@ -1,4 +1,6 @@
 import cmath
+import functools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -79,3 +81,83 @@ def u8():
     from toricqh import corpus
 
     return corpus.build("u8")
+
+
+class BatyrevRing:
+    """Batyrev's ring of a catalog entry at q = s = 1, read from its emitted
+    presentation: the linear relations are solved for the z of one maximal
+    cone, and the rest span a grevlex Groebner basis of the quantum
+    relations. Each standard monomial's multiplication matrix is an integer
+    matrix, a lower standard monomial's times one generator's."""
+
+    def __init__(self, name):
+        import sympy
+
+        from toricqh import corpus
+        from toricqh.batyrev import presentation, to_json
+
+        fan, F = corpus.build(name)
+        pres = presentation(fan, F)
+        z = sympy.symbols(f"z0:{len(pres.rays)}")
+        pivots = [z[i] for i in fan.maximal_cones[0]]
+        free = [v for v in z if v not in pivots]
+        linear = [sum(c * v for c, v in zip(rel["coeffs"], z)) for rel in json.loads(to_json(pres))["linear"]]
+        (sub,) = sympy.solve(linear, pivots, dict=True)
+        quantum = [
+            sympy.expand((sympy.Mul(*[z[i] for i in rel.collection]) - sympy.Mul(*[z[i] ** m for i, m in rel.a])).subs(sub))
+            for rel in pres.quantum
+        ]
+        basis = sympy.groebner(quantum, *free, order="grevlex")
+        leads = [sympy.Poly(g, *free).monoms(order="grevlex")[0] for g in basis.exprs]
+        standard, frontier = set(), [(0,) * len(free)]
+        while frontier:  # monomials divisible by no leading monomial; finitely many
+            m = frontier.pop()
+            if m not in standard and not any(all(a >= b for a, b in zip(m, lead)) for lead in leads):
+                standard.add(m)
+                frontier.extend(tuple(e + (i == k) for i, e in enumerate(m)) for k in range(len(free)))
+        self.monomials = sorted(standard, key=lambda m: (sum(m), m))  # each after its divisors
+        index = {m: i for i, m in enumerate(self.monomials)}
+        n = len(index)
+        self.generators = np.zeros((len(free), n, n), dtype=object)  # multiplication by each free z
+        for k in range(len(free)):
+            for m, j in index.items():
+                up = tuple(e + (i == k) for i, e in enumerate(m))
+                if up in index:
+                    self.generators[k, index[up], j] = 1
+                    continue
+                _, rem = basis.reduce(sympy.Mul(*[v**e for v, e in zip(free, up)]))
+                for mono, coeff in sympy.Poly(rem, *free).terms():
+                    assert coeff.is_integer, (name, coeff)
+                    self.generators[k, index[mono], j] = int(coeff)
+        self.products = [np.identity(n, dtype=int).astype(object)]
+        for m in self.monomials[1:]:
+            k = next(i for i, e in enumerate(m) if e)
+            lower = tuple(e - (i == k) for i, e in enumerate(m))
+            self.products.append(self.generators[k] @ self.products[index[lower]])
+        c1 = sympy.Poly(sympy.expand(sum(z).subs(sub)), *free)
+        self.c1 = sum(int(c1.coeff_monomial(v)) * g for v, g in zip(free, self.generators))
+
+    @functools.cached_property
+    def charpoly(self):
+        """The characteristic polynomial of c1, in the symbol lam."""
+        import sympy
+
+        return sympy.Matrix(self.c1.tolist()).charpoly(sympy.Symbol("lam")).as_expr()
+
+    @functools.cached_property
+    def eigenvalues(self) -> list[complex]:
+        """The distinct eigenvalues of c1: the roots of the irreducible factors
+        of its characteristic polynomial."""
+        import sympy
+
+        return [complex(r) for factor, _ in sympy.factor_list(self.charpoly)[1] for r in sympy.Poly(factor).nroots(n=30)]
+
+    def trace_form(self):
+        """Tr(m_i m_j) over the standard monomials m_i, m_j."""
+        return [[int((a * b.T).sum()) for b in self.products] for a in self.products]
+
+
+@pytest.fixture(scope="session")
+def batyrev_ring():
+    """name -> `BatyrevRing`, each built once per session."""
+    return functools.cache(BatyrevRing)

@@ -3,16 +3,18 @@ line (run with -s to see them). Tolerances are pinned here and nowhere else.
 """
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from conftest import cp_closed_form, kernel, match_complex_sets, match_point_sets
-from toricqh import corpus, solver
+from toricqh import _exact, corpus, solver
 from toricqh._exact import affine_rank, ratvec
-from toricqh.batyrev import presentation
+from toricqh.batyrev import presentation, to_json
 from toricqh.fan import is_smooth, kushnirenko_bound
 from toricqh.lattice import (
     convex_hull_facets,
@@ -22,11 +24,11 @@ from toricqh.lattice import (
     normalized_volume,
 )
 from toricqh.potential import build_potential, jet
+from toricqh.support import is_strictly_convex
 from toricqh.solver import (
     SolveReport,
     SolverConfig,
     Verdict,
-    classify,
     report_to_json,
     solve,
     verify_point,
@@ -65,7 +67,7 @@ def test_criterion_02_u8_degenerate_point(u8):
     assert hess == tuple(tuple(Fraction(x) for x in row) for row in published)
     assert cp.hessian_rank == 3 and not cp.nondegenerate
     report = solve(W, kushnirenko_bound(fan), SolverConfig(seed=1, starts=800))
-    assert classify(report)[0] is not Verdict.SEMISIMPLE
+    assert report.verdict is not Verdict.SEMISIMPLE
     _ok(2, "u8 monotone point (-1,-1,-1,1): exact residual 0, published Hessian, rank 3")
 
 
@@ -196,11 +198,11 @@ def test_criterion_10_substitution_identity():
             left = tuple(sum(fan.rays[i][k] for i in rel.collection) for k in range(fan.dim))
             right = tuple(sum(m * fan.rays[i][k] for i, m in rel.a) for k in range(fan.dim))
             assert left == right, e.name
-            assert not set(rel.collection) & set(rel.sigma)
-        for rel in pres.linear:
-            for i, coeff in enumerate(rel.coefficients):
+            assert not set(rel.collection) & set(dict(rel.a))
+        for rel in json.loads(to_json(pres))["linear"]:
+            for i, coeff in enumerate(rel["coeffs"]):
                 ray = fan.rays[i]
-                assert coeff == sum(m * r for m, r in zip(rel.m, ray))
+                assert coeff == sum(m * r for m, r in zip(rel["m"], ray))
                 assert terms[ray] == F.values[i]
     _ok(10, "substitution identity exact on every catalog presentation")
 
@@ -244,9 +246,9 @@ def test_criterion_11_invariant_suites(u8, monkeypatch):
 
     # Kushnirenko consistency: cone count equals hull volume on Fano entries
     for e in corpus.catalog():
-        fan, _ = corpus.build(e.name)
+        fan, F = corpus.build(e.name)
         vol = normalized_volume(e.ray_polytope())
-        if e.monotone_ample:
+        if is_strictly_convex(F)[0]:  # the monotone class is ample: a Fano entry
             assert vol == len(fan.maximal_cones), e.name
         assert kushnirenko_bound(fan) == vol
 
@@ -280,42 +282,7 @@ def test_criterion_11_invariant_suites(u8, monkeypatch):
     _ok(11, "invariant suites: duality, hull oracle, fan axioms, volumes, FD, determinism")
 
 
-def _c1_characteristic_polynomial(fan, F, lam):
-    """Characteristic polynomial of multiplication by c1 = sum z_rho on
-    Batyrev's ring at q = s = 1, exactly: the linear relations are solved for
-    the z of one maximal cone, and c1 acts on the standard monomials of a
-    grevlex basis of the quantum relations."""
-    import sympy
-
-    pres = presentation(fan, F)
-    z = sympy.symbols(f"z0:{len(pres.rays)}")
-    pivots = [z[i] for i in fan.maximal_cones[0]]
-    free = [v for v in z if v not in pivots]
-    linear = [sum(c * v for c, v in zip(rel.coefficients, z)) for rel in pres.linear]
-    (sub,) = sympy.solve(linear, pivots, dict=True)
-    quantum = [
-        sympy.expand((sympy.Mul(*[z[i] for i in rel.collection]) - sympy.Mul(*[z[i] ** m for i, m in rel.a])).subs(sub))
-        for rel in pres.quantum
-    ]
-    basis = sympy.groebner(quantum, *free, order="grevlex")
-    leads = [sympy.Poly(g, *free).monoms(order="grevlex")[0] for g in basis.exprs]
-    standard, frontier = set(), [(0,) * len(free)]
-    while frontier:  # monomials divisible by no leading monomial; finitely many
-        m = frontier.pop()
-        if m not in standard and not any(all(a >= b for a, b in zip(m, lead)) for lead in leads):
-            standard.add(m)
-            frontier.extend(tuple(e + (i == k) for i, e in enumerate(m)) for k in range(len(free)))
-    index = {m: i for i, m in enumerate(sorted(standard))}
-    c1 = sympy.expand(sum(z).subs(sub))
-    M = sympy.zeros(len(index))
-    for m, j in index.items():
-        _, rem = basis.reduce(sympy.expand(c1 * sympy.Mul(*[v**e for v, e in zip(free, m)])))
-        for mono, coeff in sympy.Poly(rem, *free).terms():
-            M[index[mono], j] = coeff
-    return M.charpoly(lam).as_expr()
-
-
-def test_c1_spectrum_of_batyrevs_ring_matches_the_solved_critical_values():
+def test_c1_spectrum_of_batyrevs_ring_matches_the_solved_critical_values(batyrev_ring):
     import sympy
 
     lam = sympy.Symbol("lam")
@@ -329,10 +296,33 @@ def test_c1_spectrum_of_batyrevs_ring_matches_the_solved_critical_values():
     }
     for name, (polynomial, starts) in expected.items():
         fan, F = corpus.build(name)
-        got = _c1_characteristic_polynomial(fan, F, lam)
-        assert sympy.expand(got - polynomial) == 0, name
-        roots = [complex(r) for factor, _ in sympy.factor_list(got)[1] for r in sympy.Poly(factor, lam).nroots(n=30)]
+        ring = batyrev_ring(name)
+        assert sympy.expand(ring.charpoly - polynomial) == 0, name
+        roots = ring.eigenvalues
         report = solve(build_potential(fan, F), kushnirenko_bound(fan), SolverConfig(seed=0, starts=starts))
         values = [value for value, _ in report.spectrum]
         assert all(any(abs(r - v) <= COORD_TOL for v in values) for r in roots), name
         assert all(any(abs(r - v) <= COORD_TOL for r in roots) for v in values), name
+
+
+FANO = ("cp1", "cp2", "cp3", "cp4", "cp5", "cp6", "cp1xcp1", "bl1_cp2", "bl2_cp2", "bl3_cp2", "u8")
+
+
+@pytest.mark.parametrize("name", FANO)
+def test_batyrevs_ring_has_the_solved_rank_spectrum_and_trace_form(name, batyrev_ring):
+    """On a smooth Fano entry Batyrev's ring is W's Jacobian ring: its rank
+    is the cone count and the Kushnirenko bound, c1's distinct eigenvalues
+    are the distinct critical values, and its trace form has one unit of
+    rank per distinct critical point, full exactly when QH is semisimple."""
+    ring = batyrev_ring(name)
+    fan, F = corpus.build(name)
+    assert len(ring.monomials) == len(fan.maximal_cones) == kushnirenko_bound(fan)
+    roots = ring.eigenvalues
+    starts = 4800 if name == "u8" else None
+    report = solve(build_potential(fan, F), kushnirenko_bound(fan), SolverConfig(seed=0, starts=starts))
+    values = [value for value, _ in report.spectrum]
+    assert all(any(abs(r - v) <= COORD_TOL for v in values) for r in roots)
+    assert all(any(abs(r - v) <= COORD_TOL for r in roots) for v in values)
+    rank = _exact.rank(ring.trace_form())
+    assert rank == report.found_count
+    assert (rank == len(ring.monomials)) == (report.verdict is Verdict.SEMISIMPLE)

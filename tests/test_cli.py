@@ -306,6 +306,30 @@ def test_primal_rectangle_with_the_origin_on_its_boundary(tmp_path, capsys):
     assert json.loads(out) == RECTANGLE_PRESENTATION
 
 
+@pytest.mark.parametrize("rows, ray_block", [
+    ("0 0\n2 0\n0 1\n2 1\n", "  none: the moment polytope has no polar dual (facet (0, 1) has offset 0 >= 0)\n"),
+    ("-1 -1\n2 -1\n-1 1\n2 1\n", "  reflexive: no (polytope has a non-integral vertex)\n"),
+])
+def test_check_primal_reports_a_delzant_polytope_without_a_reflexive_dual(rows, ray_block, tmp_path, capsys):
+    # [0, 2] x [0, 1] has no polar dual, and [-1, 2] x [-1, 1] has a
+    # non-reflexive one; both are Delzant, with the normal fan of a square
+    path = tmp_path / "rectangle.txt"
+    path.write_text("2 4\n" + rows)
+    code, out, err = run(capsys, "check", str(path), "--primal")
+    assert (code, err) == (0, "")
+    assert ray_block in out and "delzant: yes" in out
+    assert out.endswith("fan: 4 rays, 4 maximal cones, smooth: yes, complete: yes, monotone class ample: yes\n")
+
+
+def test_check_primal_without_a_fan_stops_at_the_ray_polytope(tmp_path, capsys):
+    # a non-Delzant triangle with the origin as a vertex: no dual, no fan
+    path = tmp_path / "corner.txt"
+    path.write_text("2 3\n0 0\n2 0\n0 1\n")
+    code, out, err = run(capsys, "check", str(path), "--primal")
+    assert (code, out) == (1, f"input: {path}\n")
+    assert err == "error: facet (0, 1) has offset 0 >= 0\n"
+
+
 def test_check_primal_walks_the_vertex_adjacency_once(tmp_path, capsys, monkeypatch):
     moment = lattice.dual_polytope(corpus.entry("u8").ray_polytope())
     path = tmp_path / "u8_moment.txt"
@@ -366,6 +390,17 @@ def test_a_budget_past_the_seeded_start_range_is_a_usage_error(monkeypatch, caps
     code, out, err = run(capsys, "solve", "cp2", "--starts", "4294967297")
     assert (code, out) == (2, "")
     assert err.startswith("parse error: --starts: starts must be in [1, 2**32]")
+
+
+def test_a_budget_the_machine_cannot_hold_is_an_error_not_a_traceback(monkeypatch, capsys):
+    from toricqh import solver
+
+    def starts(*args):
+        raise MemoryError  # what drawing 2**32 rows at once raises
+    monkeypatch.setattr(solver, "_starts", starts)
+    code, out, err = run(capsys, "solve", "cp2", "--starts", "4294967296")
+    assert (code, out) == (1, "")
+    assert err == "error: not enough memory to run 4294967296 Newton starts; give a smaller --starts\n"
 
 
 _NOT_ISOLATED = re.compile(

@@ -307,7 +307,6 @@ def test_normalized_volume_matches_reference(d):
         P = Polytope.from_points(_point_sets(rng, d, rational=rng.random() < 0.5))
         centroid = tuple(sum(v[i] for v in P.vertices) / len(P.vertices) for i in range(d))
         assert normalized_volume(P) == _ref_volume(P, centroid)
-        assert normalized_volume(P, apex=P.vertices[-1]) == _ref_volume(P, P.vertices[-1])
 
 
 def test_lattice_points_ceil_and_zero_last_coefficient():

@@ -160,13 +160,6 @@ def test_normalized_volume_u8_dual():
     assert normalized_volume(corpus.entry("u8").ray_polytope()) == 24
 
 
-def test_volume_apex_independent():
-    P = corpus.entry("u8").ray_polytope()
-    v0 = normalized_volume(P)
-    assert normalized_volume(P, apex=(0, 0, 0, 0)) == v0
-    assert normalized_volume(P, apex=(Fraction(1, 7), 0, Fraction(-1, 9), Fraction(1, 5))) == v0
-
-
 def product(P, Q):
     """The product polytope in the direct-sum lattice: the hull of the vertex pairs."""
     return Polytope.from_points([p + q for p in P.vertices for q in Q.vertices])

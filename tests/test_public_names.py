@@ -1,6 +1,7 @@
 """Every public top-level function or class of the package is either used by
-the package itself or exported from `toricqh`, and every private top-level
-function and constant is used by the package: none exists only for tests."""
+the package itself or exported from `toricqh`, every private top-level
+function and constant is used by the package, and every defaulted parameter
+is passed by some call in the package: none exists only for tests."""
 
 import ast
 from pathlib import Path
@@ -59,6 +60,50 @@ def _unreferenced_private(sources: dict[str, str]) -> list[str]:
     ]
 
 
+def _callee(call):
+    """The name a call calls: a bare name or an attribute."""
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def _defaulted_parameters(tree):
+    """(called name, function name, parameter, position or None) of each
+    defaulted parameter of each function in tree. A method's positions leave
+    out self, and its __init__ is called by its class's name."""
+    methods = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    for f in ast.walk(tree):
+        if not isinstance(f, ast.FunctionDef):
+            continue
+        positional = f.args.posonlyargs + f.args.args
+        if id(f) in methods:
+            positional = positional[1:]
+        called = methods[id(f)] if f.name == "__init__" and id(f) in methods else f.name
+        first = len(positional) - len(f.args.defaults)
+        for i, arg in enumerate(positional[first:], start=first):
+            yield called, f.name, arg.arg, i
+        for arg, default in zip(f.args.kwonlyargs, f.args.kw_defaults):
+            if default is not None:
+                yield called, f.name, arg.arg, None
+
+
+def _unpassed_defaults(sources: dict[str, str]) -> list[str]:
+    """module.function(parameter) of each defaulted parameter that no call in
+    the sources to a function of that name passes, by keyword or by position."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    calls = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    def passed(call, param, position):
+        if any(k.arg in (param, None) for k in call.keywords):  # None: **kwargs
+            return True
+        return any(isinstance(a, ast.Starred) for a in call.args) or (position is not None and len(call.args) > position)
+
+    return [
+        f"{module}.{name}({param})"
+        for module, tree in trees.items()
+        for called, name, param, position in _defaulted_parameters(tree)
+        if not any(_callee(call) == called and passed(call, param, position) for call in calls)
+    ]
+
+
 def test_the_check_sees_a_name_only_tests_could_call():
     sources = {
         "a": "def used(): pass\ndef exported(): pass\ndef dead(): '''used'''\nclass _Private: pass\n",
@@ -76,6 +121,15 @@ def test_the_private_check_sees_a_name_only_its_own_definition_uses():
     assert _unreferenced_private(sources) == ["a._DEAD", "a._recursive"]
 
 
+def test_the_defaults_check_sees_a_parameter_no_call_passes():
+    sources = {
+        "a": "def f(x, y=1, *, z=2): pass\ndef g(x=0): pass\ndef h(x=0): pass\n"
+             "class C:\n    def __init__(self, a, b=None): pass\n    def m(self, c=3, d=4): pass\n",
+        "b": "import a\na.f(1, 2)\na.C(1, b=2)\nC(0).m(5)\nargs = [1]\nh(*args)\n",
+    }
+    assert _unpassed_defaults(sources) == ["a.f(z)", "a.g(x)", "a.m(d)"]
+
+
 def _sources():
     return {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -86,3 +140,7 @@ def test_every_public_name_is_used_or_exported():
 
 def test_every_private_function_and_constant_is_used_by_the_package():
     assert _unreferenced_private(_sources()) == []
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package():
+    assert _unpassed_defaults(_sources()) == []

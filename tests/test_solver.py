@@ -115,20 +115,26 @@ def test_verify_point_leaves_a_float_near_an_irrational_point_numeric():
 
 
 def test_classify_rules():
-    def pt(nondeg, rank=2):
-        return CriticalPoint((1 + 0j, 1 + 0j), 0.0, rank if not nondeg else 2, nondeg, 1, 3 + 0j)
+    def pt(rank):
+        return CriticalPoint((1 + 0j, 1 + 0j), 0.0, rank, 1, 3 + 0j)
 
-    semis = SolveReport(3, tuple(pt(True) for _ in range(3)), Verdict.SEMISIMPLE)
-    assert classify(semis)[0] is Verdict.SEMISIMPLE
+    assert pt(2).nondegenerate and not pt(1).nondegenerate
+    semis = SolveReport(3, (pt(2),) * 3)
+    assert semis.verdict is Verdict.SEMISIMPLE
+    assert classify(semis).endswith("nondegenerate: semisimple")
 
-    mixed_points = tuple([pt(True) for _ in range(21)] + [pt(False, rank=1)])
-    mixed = SolveReport(24, mixed_points, Verdict.FIELD_SUMMAND)
-    verdict, why = classify(mixed)
-    assert verdict is Verdict.FIELD_SUMMAND
-    assert "multiplicities" in why
+    short = SolveReport(4, (pt(2),) * 3)  # every point nondegenerate, one not found
+    assert short.verdict is Verdict.FIELD_SUMMAND
+    assert classify(short).endswith("deficit 1: some roots were not located")
 
-    empty = SolveReport(3, (), Verdict.UNDETERMINED)
-    assert classify(empty)[0] is Verdict.UNDETERMINED
+    mixed = SolveReport(24, (pt(2),) * 21 + (pt(1),))
+    assert mixed.verdict is Verdict.FIELD_SUMMAND
+    assert "degenerate point ranks: [1]" in classify(mixed) and "multiplicities" in classify(mixed)
+
+    assert SolveReport(3, (pt(1),) * 3).verdict is Verdict.UNDETERMINED
+    empty = SolveReport(3, ())
+    assert empty.verdict is Verdict.UNDETERMINED
+    assert classify(empty).endswith("no nondegenerate critical point located: undetermined")
 
 
 def test_semisimple_implies_field_summand_conditions():

@@ -6,7 +6,7 @@ import pytest
 from conftest import cp_closed_form, match_complex_sets
 from toricqh import corpus
 from toricqh.potential import build_potential
-from toricqh.solver import SolverConfig, solve, spectrum_to_json, value_key, verify_point, SolveReport, Verdict
+from toricqh.solver import SolverConfig, solve, spectrum_to_json, value_key, verify_point, SolveReport
 
 
 def spectrum_of(name, seed=0, starts=None):
@@ -59,7 +59,7 @@ def test_u8_degenerate_value_flagged(u8):
     fan, F = u8
     W = build_potential(fan, F)
     point = verify_point(W, (-1, -1, -1, 1))
-    report = SolveReport(24, (point,), Verdict.UNDETERMINED)
+    report = SolveReport(24, (point,))
     assert len(report.spectrum) == 1
     value, degenerate = report.spectrum[0]
     assert degenerate
