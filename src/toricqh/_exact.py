@@ -26,8 +26,11 @@ def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def _integer_rows(rows) -> tuple[list[list[int]], list[int]]:
-    """Each row scaled to integers by the lcm of its denominators; also the scales."""
+def _integer_rows(rows) -> tuple[list, list[int]]:
+    """Each row scaled to integers by the lcm of its denominators; also the
+    scales. All-int rows come back as they are, each with scale 1."""
+    if all(type(x) is int for r in rows for x in r):
+        return list(rows), [1] * len(rows)
     m, scales = [], []
     for r in rows:
         den = lcm(*(x.denominator for x in r))
@@ -114,8 +117,7 @@ def primitive(v) -> IntVec:
     """Scale a nonzero rational vector by a positive factor to coprime integers."""
     if not any(v):
         raise ValueError("zero vector has no primitive representative")
-    den = lcm(*(x.denominator for x in v))
-    ints = [int(x * den) for x in v]
+    ints = _integer_rows([v])[0][0]
     g = gcd(*ints)
     return tuple(x // g for x in ints)
 

@@ -11,16 +11,15 @@ z_rho -> q s^{F(n_rho)} x^{n_rho} can be checked exactly.
 """
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ._exact import IntVec
 from .fan import Fan, minimal_cone_containing, primitive_collections
 from .support import SupportFunction
 
 
-@dataclass(frozen=True)
-class QuantumRelation:
+class QuantumRelation(NamedTuple):
     """Quantization of the Stanley-Reisner monomial of a primitive collection.
 
     The relation is
@@ -35,8 +34,7 @@ class QuantumRelation:
     a: tuple[tuple[int, int], ...]  # (ray index, multiplicity), sorted
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     rays: tuple[IntVec, ...]
     support_values: tuple[Fraction, ...]
     quantum: tuple[QuantumRelation, ...]

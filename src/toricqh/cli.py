@@ -137,9 +137,9 @@ def _cmd_check(args) -> int:
     print(f"  facets: {len(moment.facets)}")
     print(f"  lattice points: {len(lattice_points(moment))}")
     print(f"  delzant: {'yes' if delz else f'no ({dwhy})'}")
-    fan, F = _fan(entry, rows, args.primal)
+    fan, _ = _fan(entry, rows, args.primal)
     smooth, offender = is_smooth(fan)
-    convex, _ = support.is_strictly_convex(F)
+    convex, _ = support.is_strictly_convex(support.monotone_support(fan))
     print(
         f"fan: {len(fan.rays)} rays, {len(fan.maximal_cones)} maximal cones, "
         f"smooth: {'yes' if smooth else f'no (cone {offender})'}, "

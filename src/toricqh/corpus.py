@@ -5,9 +5,8 @@ comment. Rows are read as the vertices of the ray polytope (the dual side)
 unless the caller flips the interpretation.
 """
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ._exact import IntVec
 from .errors import ParseError, UnknownInput
@@ -126,13 +125,12 @@ U8_VERTICES: tuple[IntVec, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     dim: int
     dual_vertices: tuple[IntVec, ...]
     provenance: str
-    fan_builder: Callable[[], Fan] | None = field(default=None, compare=False)
+    fan_builder: Callable[[], Fan] | None = None
 
     def ray_polytope(self) -> Polytope:
         return Polytope.from_points(self.dual_vertices)

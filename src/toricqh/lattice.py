@@ -10,18 +10,17 @@ builds one hull per point set.
 """
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import ceil, floor, lcm
+from typing import NamedTuple
 
 from . import _exact
 from ._exact import IntVec, RatVec, affine_rank, dot, ratvec, vsub
 from .errors import NotFullDimensional, OriginNotInterior
 
 
-@dataclass(frozen=True, order=True)
-class Facet:
+class Facet(NamedTuple):
     """Supporting half-space <m, normal> >= offset with primitive inner normal."""
 
     normal: IntVec
@@ -54,11 +53,17 @@ class Polytope:
         return _hulls[pts]
 
     @cached_property
+    def scaled(self) -> tuple[int, list[IntVec], list[int]]:
+        """(D, D times each vertex, D times each facet offset) for the least
+        D > 0 that makes them all integers."""
+        return _integer(self.vertices, [f.offset for f in self.facets])
+
+    @cached_property
     def incidence(self) -> tuple[frozenset[int], ...]:
         """For each facet, the indices of the vertices on it."""
+        _, vertices, offsets = self.scaled
         return tuple(
-            frozenset(i for i, v in enumerate(self.vertices) if dot(v, f.normal) == f.offset)
-            for f in self.facets
+            frozenset(i for i, v in enumerate(vertices) if dot(v, f.normal) == c) for f, c in zip(self.facets, offsets)
         )
 
     def is_integral(self) -> bool:
@@ -78,12 +83,22 @@ class Polytope:
 _hulls: dict[tuple[RatVec, ...], Polytope] = {}
 
 
+def _integer(points, offsets=()) -> tuple[int, list[IntVec], list[int]]:
+    """(D, D times each point, D times each offset) for the least D > 0 that
+    makes them all integers, so that side tests and minors run on ints."""
+    den = lcm(*(x.denominator for p in points for x in p), *(c.denominator for c in offsets))
+    return (den, [tuple(x.numerator * (den // x.denominator) for x in p) for p in points],
+            [c.numerator * (den // c.denominator) for c in offsets])
+
+
 def _hull(pts: tuple[RatVec, ...]) -> Polytope:
     """Hull of sorted, distinct rational points: a point is a vertex when the
     normals of the facets through it have full rank."""
     facets = convex_hull_facets(pts)
+    _, ipts, offsets = _integer(pts, [f.offset for f in facets])
     dim = len(pts[0])
-    vertices = [p for p in pts if _exact.rank([f.normal for f in facets if dot(p, f.normal) == f.offset]) == dim]
+    vertices = [p for p, q in zip(pts, ipts)
+                if _exact.rank([f.normal for f, c in zip(facets, offsets) if dot(q, f.normal) == c]) == dim]
     return Polytope(dim, vertices, facets)
 
 
@@ -101,8 +116,7 @@ def convex_hull_facets(points) -> list[Facet]:
     if not pts:
         raise NotFullDimensional("no points given")
     d = len(pts[0])
-    den = lcm(*(x.denominator for p in pts for x in p))
-    ipts = [tuple(int(x * den) for x in p) for p in pts]
+    den, ipts, _ = _integer(pts)
     if affine_rank(ipts) < d:
         raise NotFullDimensional(f"points span affine dimension {affine_rank(ipts)} < {d}")
 
@@ -197,29 +211,28 @@ def lattice_points(P: Polytope) -> list[IntVec]:
     return points
 
 
-def _adjacent_vertices(P: Polytope) -> dict[RatVec, list[RatVec]]:
-    """Vertex adjacency via facet incidence: v ~ w iff the smallest face
-    containing both (P itself when no facet does) has exactly two vertices."""
+def _adjacent_vertices(P: Polytope) -> list[list[int]]:
+    """Vertex adjacency via facet incidence, by vertex index: v ~ w iff the
+    smallest face containing both (P itself when no facet does) has exactly
+    two vertices."""
     everything = frozenset(range(len(P.vertices)))
-    adj: dict[RatVec, list[RatVec]] = {v: [] for v in P.vertices}
+    adj: list[list[int]] = [[] for _ in P.vertices]
     for a, b in itertools.combinations(range(len(P.vertices)), 2):
         if len(everything.intersection(*(g for g in P.incidence if a in g and b in g))) == 2:
-            v, w = P.vertices[a], P.vertices[b]
-            adj[v].append(w)
-            adj[w].append(v)
+            adj[a].append(b)
+            adj[b].append(a)
     return adj
 
 
 @lru_cache(maxsize=None)
 def is_delzant(P: Polytope) -> tuple[bool, str | None]:
-    """Simple + smooth test: d edges per vertex whose primitive directions
-    form a lattice basis."""
-    adj = _adjacent_vertices(P)
-    for v in P.vertices:
-        edges = adj[v]
+    """Simple + smooth test: d edges per vertex whose primitive directions,
+    taken on the scaled integer vertices, form a lattice basis."""
+    scaled = P.scaled[1]
+    for v, iv, edges in zip(P.vertices, scaled, _adjacent_vertices(P)):
         if len(edges) != P.dim:
             return False, f"vertex {tuple(map(str, v))} meets {len(edges)} edges, expected {P.dim}"
-        dirs = [_exact.primitive(vsub(w, v)) for w in edges]
+        dirs = [_exact.primitive(vsub(scaled[j], iv)) for j in edges]
         if abs(_exact.det(dirs)) != 1:
             return False, f"edge directions at vertex {tuple(map(str, v))} are not a lattice basis"
     return True, None
@@ -236,7 +249,7 @@ def _triangulate(P: Polytope, face: frozenset[int], k: int) -> list[tuple[int, .
     apex = min(face)
     simplices = []
     for sub in {face & g for g in P.incidence}:
-        if apex not in sub and len(sub) >= k and affine_rank([P.vertices[i] for i in sub]) == k - 1:
+        if apex not in sub and len(sub) >= k and affine_rank([P.scaled[1][i] for i in sub]) == k - 1:
             simplices += [(apex, *t) for t in _triangulate(P, sub, k - 1)]
     return simplices
 
@@ -245,12 +258,14 @@ def normalized_volume(P: Polytope) -> Fraction:
     """d! times the Euclidean volume of P, exactly.
 
     Decomposes P into pyramids over its facets from its vertex centroid, an
-    interior point, then triangulates each facet.
+    interior point, then triangulates each facet. The determinants run on
+    the integer vertices scaled by n D (n vertices, D from `scaled`), with
+    n D times the centroid as the apex.
     """
     d, n = P.dim, len(P.vertices)
-    apex = tuple(sum(v[i] for v in P.vertices) / n for i in range(d))
-    total = Fraction(0)
-    for face in P.incidence:
-        for tri in _triangulate(P, face, d - 1):
-            total += abs(_exact.det([vsub(P.vertices[i], apex) for i in tri]))
-    return total
+    den, scaled = P.scaled[:2]
+    apex = tuple(sum(v[i] for v in scaled) for i in range(d))
+    vertices = [tuple(n * x for x in v) for v in scaled]
+    total = sum(abs(_exact.det([vsub(vertices[i], apex) for i in tri]))
+                for face in P.incidence for tri in _triangulate(P, face, d - 1))
+    return Fraction(total, (n * den) ** d)

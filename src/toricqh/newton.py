@@ -7,27 +7,27 @@ valuation means larger norm. The non-Archimedean norm 10^(-val) appears only
 in the report text.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InvalidRegime
 
 
-@dataclass(frozen=True)
-class ValuedPoly:
+class ValuedPoly(NamedTuple("ValuedPoly", [("terms", tuple[tuple[int, Fraction], ...])])):
     """Sparse polynomial known only through coefficient valuations:
     terms are (degree, valuation of that coefficient)."""
 
-    terms: tuple[tuple[int, Fraction], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        degrees = [d for d, _ in self.terms]
+    def __new__(cls, terms):
+        degrees = [d for d, _ in terms]
         if len(degrees) < 2:
             raise ValueError("need at least two terms")
         if len(set(degrees)) != len(degrees):
             raise ValueError("degrees must be pairwise distinct")
         if any(d < 0 for d in degrees):
             raise ValueError("degrees must be nonnegative")
+        return super().__new__(cls, terms)
 
 
 def lower_hull(p: ValuedPoly) -> tuple[tuple[Fraction, int], ...]:

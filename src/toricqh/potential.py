@@ -9,8 +9,8 @@ logarithmic coordinates.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ._exact import IntVec
 from .errors import NonpositiveCoefficient, NotComplete
@@ -18,22 +18,20 @@ from .fan import Fan, is_complete
 from .support import SupportFunction
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     exponent: IntVec
     coefficient: float
     s_exponent: Fraction
 
 
-@dataclass(frozen=True)
-class Superpotential:
-    dim: int
-    terms: tuple[Term, ...]
+class Superpotential(NamedTuple("Superpotential", [("dim", int), ("terms", tuple[Term, ...])])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        exps = [t.exponent for t in self.terms]
+    def __new__(cls, dim, terms):
+        exps = [t.exponent for t in terms]
         if len(set(exps)) != len(exps):
             raise ValueError("superpotential exponents must be pairwise distinct")
+        return super().__new__(cls, dim, terms)
 
 
 def build_potential(f: Fan, F: SupportFunction, coeffs=None) -> Superpotential:

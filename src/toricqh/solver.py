@@ -23,9 +23,9 @@ the cluster centres and `verify_point` all read it. `potential` is exact.
 """
 
 import json
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,24 +57,23 @@ _CURVE_STEP, _CURVE_STEPS = 1e-2, 8  # `_isolated`'s step along the tangent, and
 CURVE_TOL = 1e-11  # witness residual of a curve: <= 6.4e-15 on bl_points_3's curves, >= 6.2e-8 at u8's points
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    seed: int = 0
-    starts: int | None = None  # None: 200 * expected_count, or the first 8 * it if they close the count
+class SolverConfig(NamedTuple("SolverConfig", [("seed", int), ("starts", int | None)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.seed < 2**64:  # what default_rng([seed, k]) accepts, without aliases
+    # starts None: 200 * expected_count, or the first 8 * it if they close the count
+    def __new__(cls, seed=0, starts=None):
+        if not 0 <= seed < 2**64:  # what default_rng([seed, k]) accepts, without aliases
             raise ValueError("seed must be in [0, 2**64)")
-        if self.starts is not None and not 1 <= self.starts <= 2**32:  # start k is drawn from a 32-bit word
+        if starts is not None and not 1 <= starts <= 2**32:  # start k is drawn from a 32-bit word
             raise ValueError("starts must be in [1, 2**32]")
+        return super().__new__(cls, seed, starts)
 
     def budget(self, expected_count: int) -> int:
         """The most starts a solve runs."""
         return self.starts if self.starts is not None else 200 * expected_count
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(NamedTuple):
     coords: tuple[complex, ...]
     residual: float
     hessian_rank: int
@@ -94,8 +93,7 @@ def value_key(z: complex) -> tuple[float, float]:
     return (round(z.real, 9), round(z.imag, 9))
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     expected_count: int
     points: tuple[CriticalPoint, ...]
     starts: int = 0  # Newton starts run
@@ -365,8 +363,8 @@ def _certified(W: Superpotential, point: CriticalPoint, rational: tuple[Fraction
     if any(gradient):
         return point
     rank = _exact.rank([list(row) for row in hessian])
-    return replace(point, coords=tuple(complex(float(x), 0.0) for x in rational), residual=0.0, hessian_rank=rank,
-                   value=complex(value), exact=True)
+    return point._replace(coords=tuple(complex(float(x), 0.0) for x in rational), residual=0.0, hessian_rank=rank,
+                          value=complex(value), exact=True)
 
 
 def _isolated(exponents, coeffs, points) -> None:
@@ -428,7 +426,7 @@ def _points(W: Superpotential, exponents, coeffs, us, R) -> list[CriticalPoint]:
 
     points = []
     for rows, point in zip(cells, numeric):
-        point = replace(point, cluster_size=len(rows))
+        point = point._replace(cluster_size=len(rows))
         # Candidate: near-real coordinates rounded to denominators <= 12. A
         # generous tol cannot certify a wrong point, as the exact gradient must
         # vanish there; the bound only limits which rational points are found.

@@ -7,9 +7,9 @@ those values on the cone's rays; strict convexity means every off-cone ray
 sees a strictly larger value under that form than its own.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
+from typing import NamedTuple
 
 from . import _exact
 from ._exact import RatVec
@@ -18,22 +18,20 @@ from .fan import Cone, Fan, is_complete
 from .lattice import Facet, Polytope, is_delzant
 
 
-@dataclass(frozen=True)
-class SupportFunction:
-    fan: Fan
-    values: tuple[Fraction, ...]
+class SupportFunction(NamedTuple("SupportFunction", [("fan", Fan), ("values", tuple[Fraction, ...])])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.values) != len(self.fan.rays):
+    def __new__(cls, fan, values):
+        if len(values) != len(fan.rays):
             raise ValueError("need one value per ray")
+        return super().__new__(cls, fan, values)
 
-    @cached_property
-    def cone_forms(self) -> dict[Cone, RatVec]:
-        """Linear form m_sigma per maximal cone, with <m_sigma, n_rho> = F(n_rho)."""
-        return {
-            cone: _exact.solve(self.fan.ray_matrix(cone), [self.values[i] for i in cone])
-            for cone in self.fan.maximal_cones
-        }
+
+@lru_cache(maxsize=None)
+def cone_forms(F: SupportFunction) -> dict[Cone, RatVec]:
+    """Linear form m_sigma per maximal cone, with <m_sigma, n_rho> = F(n_rho);
+    computed once per support function."""
+    return {cone: _exact.solve(F.fan.ray_matrix(cone), [F.values[i] for i in cone]) for cone in F.fan.maximal_cones}
 
 
 def monotone_support(f: Fan) -> SupportFunction:
@@ -51,8 +49,7 @@ def is_strictly_convex(F: SupportFunction) -> tuple[bool, tuple[Cone, int] | Non
     fan = F.fan
     if not is_complete(fan):
         raise NotComplete("strict convexity is checked on complete fans")
-    for cone in fan.maximal_cones:
-        form = F.cone_forms[cone]
+    for cone, form in cone_forms(F).items():  # in the order of fan.maximal_cones
         members = set(cone)
         for i, ray in enumerate(fan.rays):
             if i in members:
@@ -72,7 +69,7 @@ def moment_polytope(F: SupportFunction) -> Polytope:
     if not ok:
         cone, ray = witness
         raise NotStrictlyConvex(f"cone {cone} and ray {ray} violate strict convexity")
-    vertices = set(F.cone_forms.values())
+    vertices = set(cone_forms(F).values())
     if len(vertices) != len(F.fan.maximal_cones):
         raise NotStrictlyConvex("cone forms are not pairwise distinct")
     facets = [Facet(ray, Fraction(v)) for ray, v in zip(F.fan.rays, F.values)]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from toricqh import corpus, lattice
+from toricqh import corpus, lattice, support
 from toricqh.cli import run_cli
 
 
@@ -321,6 +321,29 @@ def test_check_primal_reports_a_delzant_polytope_without_a_reflexive_dual(rows, 
     assert out.endswith("fan: 4 rays, 4 maximal cones, smooth: yes, complete: yes, monotone class ample: yes\n")
 
 
+def test_check_primal_reads_the_monotone_class_of_a_non_fano_normal_fan(tmp_path, capsys):
+    # the trapezoid's normal fan is the Hirzebruch surface F2, which is not
+    # Fano: its own class is ample, the anticanonical one is not
+    path = tmp_path / "f2.txt"
+    path.write_text("2 4\n0 0\n3 0\n1 1\n0 1\n")
+    code, out, err = run(capsys, "check", str(path), "--primal")
+    assert (code, err) == (0, "")
+    assert out == (
+        f"input: {path}\n"
+        "ray polytope (dual side):\n"
+        "  none: the moment polytope has no polar dual (facet (0, 1) has offset 0 >= 0)\n"
+        "moment polytope (primal side):\n"
+        "  vertices: 4\n"
+        "  facets: 4\n"
+        "  lattice points: 6\n"
+        "  delzant: yes\n"
+        "fan: 4 rays, 4 maximal cones, smooth: yes, complete: yes, monotone class ample: no\n"
+    )
+    fan, F = support.support_from_polytope(lattice.Polytope.from_points([(0, 0), (3, 0), (1, 1), (0, 1)]))
+    assert support.is_strictly_convex(F) == (True, None)
+    assert support.is_strictly_convex(support.monotone_support(fan)) == (False, ((0, 1), 3))
+
+
 def test_check_primal_without_a_fan_stops_at_the_ray_polytope(tmp_path, capsys):
     # a non-Delzant triangle with the origin as a vertex: no dual, no fan
     path = tmp_path / "corner.txt"
@@ -468,7 +491,7 @@ def test_only_solve_and_spectrum_load_numpy():
 IMPORT_PROBE = """
 import contextlib, io, sys
 loaded = lambda: [sorted(m for m in sys.modules if m.split(".")[0] == "toricqh"),
-                  *(m in sys.modules for m in ("numpy", "json", "logging"))]
+                  *(m in sys.modules for m in ("numpy", "json", "logging", "dataclasses", "inspect"))]
 import toricqh
 steps = [loaded()]
 from toricqh.cli import run_cli
@@ -498,18 +521,19 @@ def test_each_command_loads_only_the_layers_it_runs():
     with_potential = sorted(with_batyrev + ["toricqh.potential"])
     with_newton = sorted(with_potential + ["toricqh.newton"])
     with_solver = sorted(with_newton + ["toricqh.solver"])
-    # (toricqh.* modules, numpy, json, logging) after each step
+    # (toricqh.* modules, numpy, json, logging, dataclasses, inspect) after
+    # each step: no command loads dataclasses, and only numpy brings inspect
     assert ast.literal_eval(proc.stdout) == [
-        [["toricqh"], False, False, False],              # import toricqh
-        [base, False, False, False],                     # import toricqh.cli
-        [base, False, False, False],                     # catalog
-        [base, False, False, False],                     # check cp2
-        [base, False, False, False],                     # fan bl1_cp2
-        [with_batyrev, False, True, False],              # presentation u8 --json
-        [with_potential, False, True, False],            # potential u8
-        [with_newton, False, True, False],               # valuations
-        [with_solver, True, True, False],                # spectrum cp2 --json
-        [with_solver, True, True, False],                # solve cp2 --json
+        [["toricqh"], False, False, False, False, False],              # import toricqh
+        [base, False, False, False, False, False],                     # import toricqh.cli
+        [base, False, False, False, False, False],                     # catalog
+        [base, False, False, False, False, False],                     # check cp2
+        [base, False, False, False, False, False],                     # fan bl1_cp2
+        [with_batyrev, False, True, False, False, False],              # presentation u8 --json
+        [with_potential, False, True, False, False, False],            # potential u8
+        [with_newton, False, True, False, False, False],               # valuations
+        [with_solver, True, True, False, False, True],                 # spectrum cp2 --json
+        [with_solver, True, True, False, False, True],                 # solve cp2 --json
     ]
 
 

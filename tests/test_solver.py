@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -99,7 +98,7 @@ def test_verify_point_certifies_a_reported_exact_point_as_solve_does(name, seed,
     exact = [p for p in report.points if p.exact]
     assert len(exact) >= 4
     for p in exact:
-        assert verify_point(W, p.coords) == dataclasses.replace(p, cluster_size=1)
+        assert verify_point(W, p.coords) == p._replace(cluster_size=1)
 
 
 def test_verify_point_leaves_a_float_near_an_irrational_point_numeric():
@@ -329,8 +328,8 @@ def test_critical_value_order_ignores_the_last_bits():
         (-1.5, -2.598), (-1.5, 2.598), (3.0, 0.0)
     ]
     for directions in itertools.product((-math.inf, math.inf), repeat=len(report.points)):
-        nudged = dataclasses.replace(report, points=tuple(
-            dataclasses.replace(p, value=complex(math.nextafter(p.value.real, to), p.value.imag))
+        nudged = report._replace(points=tuple(
+            p._replace(value=complex(math.nextafter(p.value.real, to), p.value.imag))
             for p, to in zip(report.points, directions)
         ))
         assert [z.imag for z in nudged.critical_values] == order

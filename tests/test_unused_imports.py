@@ -1,4 +1,6 @@
-"""Every name a package module or test file imports is used in that file."""
+"""Every name a package module or test file imports is used in that file,
+and no package module imports `dataclasses`: its import loads `inspect`,
+and a frozen record's generated methods are compiled at every start-up."""
 
 import ast
 from pathlib import Path
@@ -6,7 +8,8 @@ from pathlib import Path
 import pytest
 
 TESTS = Path(__file__).resolve().parent
-MODULES = sorted((TESTS.parent / "src" / "toricqh").glob("*.py")) + sorted(TESTS.glob("*.py"))
+PACKAGE = sorted((TESTS.parent / "src" / "toricqh").glob("*.py"))
+MODULES = PACKAGE + sorted(TESTS.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -28,3 +31,21 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _imported_modules(source: str) -> set[str]:
+    """The top-level name of every module that source imports."""
+    tree = ast.parse(source)
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    names |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level}
+    return {name.split(".")[0] for name in names}
+
+
+def test_the_import_check_sees_dataclasses():
+    assert _imported_modules("import dataclasses.x\nfrom os import path\nfrom . import y\n") == {"dataclasses", "os"}
+    assert "dataclasses" in _imported_modules("def f():\n    from dataclasses import replace\n")
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_module_does_not_import_dataclasses(path):
+    assert "dataclasses" not in _imported_modules(path.read_text(encoding="utf-8"))
