@@ -41,7 +41,7 @@ class Verdict(Enum):
 
 
 NEWTON_TOL = 1e-12  # log-gradient max-norm that counts as a critical point
-MAX_ITERS = 100
+MAX_ITERS = 130  # evaluations per start
 # samples of one simple point agree to about NEWTON_TOL * |H^-1|, while the
 # catalog's distinct critical points lie at least 0.2 apart
 CLUSTER_TOL = 1e-6
@@ -50,7 +50,7 @@ WIDE_TOL = NEWTON_TOL ** 0.25  # NEWTON_TOL^(1/m) localizes a root of multiplici
 # other centre on the catalog >= 0.0557, except on the curves of critical points that `_isolated` reports
 RANK_TOL = 1e-5
 # The linear regime, where a `_newton` row takes the geometric-limit step:
-LINEAR_RESIDUAL = 1e-4  # residual in [NEWTON_TOL, this): near a root, and not polishing
+LINEAR_RESIDUAL = 1e-4  # residual in [NEWTON_TOL, this): near a root, and not yet converged
 LINEAR_RATIO = (0.3, 0.95)  # step ratio r: below 0.3 Newton is fast; past 0.95, 1 / (1 - r) > 20 amplifies noise
 RATIO_AGREEMENT = 0.02  # r within 2% of the row's previous ratio: the steps shrink geometrically
 _CURVE_STEP, _CURVE_STEPS = 1e-2, 8  # `_isolated`'s step along the tangent, and its Gauss-Newton iterations
@@ -168,7 +168,6 @@ def _hessian(outer, t):
 # Active rows of the Newton pool: large enough to amortise the per-iteration
 # numpy calls, small enough that the (rows, d, d) Hessian stack stays small.
 _BLOCK = 1024
-_POLISH_STEPS = 30
 # Starts per expected point in a default budget's probe. At target
 # coefficients and seeds 0-9 the semisimple count first closes by 6 starts per
 # point on cp1-cp6, cp1xcp1 and bl1_cp2-bl3_cp2, by 8 on bl_points_4 and by
@@ -245,27 +244,23 @@ def _newton(exponents, coeffs, u0):
     that did not converge.
 
     The rows run in one pool of at most _BLOCK active rows, refilled from
-    the queue of u0; each row stops after its own MAX_ITERS + _POLISH_STEPS
-    evaluations. Near a degenerate critical point Newton converges only
-    linearly, each step about r times the last in max-norm (Decker, Keller
-    and Kelley, SIAM J. Numer. Anal. 20, 1983; Griewank, SIAM Rev. 27,
-    1985). A row whose ratio r has settled (`LINEAR_RESIDUAL`,
-    `LINEAR_RATIO`, `RATIO_AGREEMENT`) takes the geometric limit
-    delta / (1 - r) of its steps, Schroeder's step m * delta at a root of
-    multiplicity m, and its ratio history starts afresh. Below NEWTON_TOL a
-    row keeps polishing with plain steps while it improves, so samples of a
-    degenerate point do not scatter at the square root of the tolerance. A
-    row also stops when it escapes (|Re u| > 50), its residual is not
-    finite, it stops improving or leaves the basin after a sub-tolerance
-    iterate (keeping the best one), its polish steps run out, or its Hessian
-    is singular.
-    """
+    the queue of u0; each row stops after its own MAX_ITERS evaluations.
+    Near a degenerate critical point Newton converges only linearly, each
+    step about r times the last in max-norm (Decker, Keller and Kelley, SIAM
+    J. Numer. Anal. 20, 1983; Griewank, SIAM Rev. 27, 1985). A row whose
+    ratio r has settled (`LINEAR_RESIDUAL`, `LINEAR_RATIO`,
+    `RATIO_AGREEMENT`) takes the geometric limit delta / (1 - r) of its
+    steps, Schroeder's step m * delta at a root of multiplicity m, and its
+    ratio history starts afresh. A row's first iterate below NEWTON_TOL is
+    its sample; the samples of a root of multiplicity m scatter within about
+    NEWTON_TOL^(1/m), one WIDE_TOL cell of `_points`. A row also stops when
+    it escapes (|Re u| > 50), its residual is not finite, or its Hessian is
+    singular."""
     n = len(u0)
     outer = _outer(exponents)
-    best_u = np.zeros_like(u0)  # rows that never converge are dropped later
-    best_res = np.full(n, np.inf)
-    polish_left = np.full(n, _POLISH_STEPS)
-    evals_left = np.full(n, MAX_ITERS + _POLISH_STEPS)
+    sample_u = np.zeros_like(u0)  # rows that never converge are dropped later
+    sample_res = np.full(n, np.inf)
+    evals_left = np.full(n, MAX_ITERS)
     last_norm, last_ratio = np.full(n, np.nan), np.full(n, np.nan)  # nan: no history
     rows, u, queued = np.arange(0), u0[:0], 0
     while rows.size or queued < n:
@@ -278,18 +273,9 @@ def _newton(exponents, coeffs, u0):
         g = _gradient(exponents, t)
         residual = np.max(np.abs(g), axis=1)
         below = residual < NEWTON_TOL
-        improved = below & (residual < best_res[rows])
-        hit = rows[improved]
-        best_u[hit] = u[improved]
-        best_res[hit] = residual[improved]
-        polish_left[hit] -= 1
+        sample_u[rows[below]], sample_res[rows[below]] = u[below], residual[below]
         evals_left[rows] -= 1
-        stop = (
-            ~np.isfinite(residual)
-            | (~improved & np.isfinite(best_res[rows]))
-            | (improved & ((polish_left[rows] <= 0) | (residual == 0.0)))
-            | (evals_left[rows] == 0)
-        )
+        stop = below | ~np.isfinite(residual) | (evals_left[rows] == 0)
         rows, u, t, g, residual = rows[~stop], u[~stop], t[~stop], g[~stop], residual[~stop]
         step, solvable = _newton_steps(_hessian(outer, t), g)
         rows, u, step, residual = rows[solvable], u[solvable], step[solvable], residual[solvable]
@@ -297,8 +283,7 @@ def _newton(exponents, coeffs, u0):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a zero or tiny last step
             ratio = norm / last_norm[rows]
         linear = (
-            (residual >= NEWTON_TOL) & (residual < LINEAR_RESIDUAL)
-            & (LINEAR_RATIO[0] < ratio) & (ratio < LINEAR_RATIO[1])
+            (residual < LINEAR_RESIDUAL) & (LINEAR_RATIO[0] < ratio) & (ratio < LINEAR_RATIO[1])
             & (np.abs(ratio - previous) <= RATIO_AGREEMENT * previous)
         )
         if linear.any():
@@ -306,7 +291,7 @@ def _newton(exponents, coeffs, u0):
             norm[linear] = np.nan  # so the next ratio is nan, and the history starts afresh
         last_norm[rows], last_ratio[rows] = norm, ratio
         u = u + step
-    return best_u, best_res
+    return sample_u, sample_res
 
 
 def _newton_steps(h, g):
@@ -420,8 +405,7 @@ def _points(W: Superpotential, exponents, coeffs, us, R) -> list[CriticalPoint]:
     simple = np.sort(np.concatenate([np.arange(0)] + [rows for rows, p in zip(cells, ranked) if p.nondegenerate]))
     cells = [rows for rows, p in zip(cells, ranked) if not p.nondegenerate]
     cells = sorted(cells + [simple[rows] for rows in _cells(X[simple], CLUSTER_TOL)], key=lambda rows: rows[0])
-    # Each centre re-checked at its reported coordinates: Newton's own
-    # residual is exactly 0 on rows polished to zero.
+    # Each centre re-checked at its reported coordinates exp(u), not at Newton's u.
     numeric = _numeric_points(exponents, coeffs, X[[rows[R[rows].argmin()] for rows in cells]])
 
     points = []

@@ -376,6 +376,23 @@ def test_presentation_on_a_non_smooth_primal_triangle_is_a_domain_error(tmp_path
 
 
 @pytest.mark.parametrize(
+    "target, values, witness",
+    [
+        ("cp2", "0,0,0", "(cone (0, 1), ray 2)"),  # linear: no strict inequality anywhere
+        ("cp2", "-1,-1,2", "(cone (0, 1), ray 2)"),
+        ("cp1xcp1", "-1,0,0,-1", "(cone (0, 1), ray 2)"),  # rays 1 and 2 are opposite, F1 + F2 = 0
+        ("cp1xcp1", "0,-1,-1,0", "(cone (0, 1), ray 3)"),  # rays 0 and 3 are opposite, F0 + F3 = 0
+    ],
+)
+def test_presentation_rejects_support_values_that_are_not_strictly_convex(target, values, witness, capsys):
+    code, out, err = run(capsys, "presentation", target, f"--support={values}")  # "=": values may open with "-"
+    assert (code, out) == (1, "")
+    assert err == f"error: support values are not strictly convex {witness}\n"
+    monotone = ",".join(["-1"] * (values.count(",") + 1))
+    assert run(capsys, "presentation", target, f"--support={monotone}")[0] == 0
+
+
+@pytest.mark.parametrize(
     "argv, code",
     [
         (("solve", "cp2", "--starts", "0"), 2),

@@ -47,6 +47,26 @@ def test_parse_wrong_width():
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("", 1, "empty input"),
+        ("# only a comment\n\n", 1, "empty input"),
+        ("\n2 3 1\n1 0\n", 2, "header must be 'd n', got '2 3 1'"),
+        ("2\n1 0\n", 1, "header must be 'd n', got '2'"),
+        ("# header next\n2 x\n1 0\n", 2, "header must contain two integers, got '2 x'"),
+        ("2.0 3\n1 0\n", 1, "header must contain two integers, got '2.0 3'"),
+        ("0 3\n", 1, "dimension and count must be positive, got 0 3"),
+        ("2 -1\n", 1, "dimension and count must be positive, got 2 -1"),
+    ],
+)
+def test_parse_header_errors_name_their_line(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_polytope(text)
+    assert (err.value.line, err.value.column) == (line, None)
+    assert str(err.value) == f"{message} (line {line})"
+
+
 def test_parse_comments_and_whitespace():
     text = "# ray polytope\n 2   3 \n1 0 # first\n\n0 1\n-1 -1\n"
     assert parse_polytope(text) == ((1, 0), (0, 1), (-1, -1))
