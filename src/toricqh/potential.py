@@ -1,11 +1,8 @@
 """The Landau-Ginzburg superpotential of a fan with a support function:
-a Laurent polynomial on the complex torus, with exact evaluation,
-log-gradient and affine Hessian over Q.
+a Laurent polynomial on the complex torus, its definition and its rendering.
 
-The evaluation here is exact at points with rational coordinates; it is what
-turns "residual 0" claims at such points into certificates. The numeric
-evaluation of W at complex points lives in `solver`, one batched kernel in
-logarithmic coordinates.
+Every evaluation of W lives in `solver`: one kernel for the log-gradient and
+log-Hessian, run on floats at complex points and on integers at rational ones.
 """
 
 import math
@@ -50,40 +47,6 @@ def build_potential(f: Fan, F: SupportFunction, coeffs=None) -> Superpotential:
         Term(ray, float(b), F.values[i]) for i, (ray, b) in enumerate(zip(f.rays, coeffs))
     )
     return Superpotential(f.dim, terms)
-
-
-def _term_values(W: Superpotential, p) -> list[Fraction]:
-    """b_rho p^{n_rho} for every term, over Q."""
-    if any(x == 0 for x in p):
-        raise ValueError("point has a zero coordinate; not on the torus")
-    p = tuple(Fraction(x) for x in p)
-    return [Fraction(t.coefficient) * math.prod(x ** e for x, e in zip(p, t.exponent)) for t in W.terms]
-
-
-def jet(W: Superpotential, p):
-    """(W, log-gradient, affine Hessian) at p over Q, from one evaluation of
-    the terms: W = sum_rho b_rho p^{n_rho}; log-gradient component i is
-    sum_rho (n_rho)_i b_rho p^{n_rho}, the derivative of W(exp(u)) along the
-    i-th logarithmic coordinate; the affine Hessian holds the ordinary second
-    partials d^2 W / dx_i dx_j."""
-    values = _term_values(W, p)
-    p = tuple(Fraction(x) for x in p)
-    d = W.dim
-    gradient = tuple(
-        sum(t.exponent[i] * v for t, v in zip(W.terms, values) if t.exponent[i]) for i in range(d)
-    )
-    h = [[Fraction(0)] * d for _ in range(d)]
-    for t, v in zip(W.terms, values):
-        e = t.exponent
-        for i in range(d):
-            for j in range(i, d):
-                factor = e[i] * (e[j] - (1 if i == j else 0))
-                if factor:
-                    h[i][j] += factor * v / (p[i] * p[j])
-    for i in range(d):
-        for j in range(i):
-            h[i][j] = h[j][i]
-    return sum(values), gradient, tuple(tuple(row) for row in h)
 
 
 def render(W: Superpotential, symbolic: bool = False) -> str:

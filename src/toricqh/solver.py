@@ -18,18 +18,22 @@ critical points with multiplicity; a default budget stops once its first 8N
 starts find N distinct nondegenerate points. Short of that, missing roots
 are reported as an honest deficit.
 
-This module owns the one floating-point evaluation of W, `_terms`: Newton,
-the cluster centres and `verify_point` all read it. `potential` is exact.
+This module holds every evaluation of W. The term values come from `_terms`
+in floats at log coordinates, or from `_exact_terms` in integers at a
+rational point; `_gradient` and `_hessian` turn either into the log-gradient
+and log-Hessian, so Newton, the numeric ranks and the certificate share one
+kernel.
 """
 
 import json
+import math
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from . import _exact, potential
+from . import _exact
 from .errors import NotCritical, NotIsolated, OverCount
 from .potential import Superpotential
 
@@ -337,19 +341,31 @@ def _cells(X, tol):
     return np.split(order, np.flatnonzero(np.diff(cell[order])) + 1)
 
 
+def _exact_terms(W: Superpotential, p):
+    """The kernel's inputs at a point p of Fractions, over the integers: the
+    exponent table n, the term values b_rho p^{n_rho} as ints t over one
+    common denominator den, and den. So t.sum(), `_gradient(n, t)` and
+    `_hessian(_outer(n), t)` are den times W's value, log-gradient and
+    log-Hessian at p, exactly."""
+    values = [Fraction(term.coefficient) * math.prod(x ** e for x, e in zip(p, term.exponent) if e) for term in W.terms]
+    (t,), (den,) = _exact._integer_rows([values])
+    return np.array([term.exponent for term in W.terms], dtype=object), np.array(t, dtype=object), den
+
+
 def _certified(W: Superpotential, point: CriticalPoint, rational: tuple[Fraction, ...] | None) -> CriticalPoint:
     """`point` made exact at the candidate rational point `rational` (None:
     no candidate) when the exact log-gradient of W vanishes there: one
-    `potential.jet` gives residual 0 and the exact rank and value. Otherwise
-    `point` comes back unchanged. Every exact point comes from here."""
+    `_exact_terms` gives residual 0 and the exact log-Hessian rank and value.
+    Otherwise `point` comes back unchanged. Every exact point comes from
+    here."""
     if rational is None:
         return point
-    value, gradient, hessian = potential.jet(W, rational)
-    if any(gradient):
+    n, t, den = _exact_terms(W, rational)
+    if any(_gradient(n, t)):
         return point
-    rank = _exact.rank([list(row) for row in hessian])
-    return point._replace(coords=tuple(complex(float(x), 0.0) for x in rational), residual=0.0, hessian_rank=rank,
-                          value=complex(value), exact=True)
+    return point._replace(coords=tuple(complex(float(x), 0.0) for x in rational), residual=0.0,
+                          hessian_rank=_exact.rank(_hessian(_outer(n), t).tolist()),
+                          value=complex(Fraction(t.sum(), den)), exact=True)
 
 
 def _isolated(exponents, coeffs, points) -> None:
@@ -405,7 +421,8 @@ def _points(W: Superpotential, exponents, coeffs, us, R) -> list[CriticalPoint]:
     simple = np.sort(np.concatenate([np.arange(0)] + [rows for rows, p in zip(cells, ranked) if p.nondegenerate]))
     cells = [rows for rows, p in zip(cells, ranked) if not p.nondegenerate]
     cells = sorted(cells + [simple[rows] for rows in _cells(X[simple], CLUSTER_TOL)], key=lambda rows: rows[0])
-    # Each centre re-checked at its reported coordinates exp(u), not at Newton's u.
+    # Each centre measured at its reported coordinates exp(u), not at Newton's u. Every sample converged, so
+    # every cell is a point, even where the absolute residual there reads above NEWTON_TOL by rounding.
     numeric = _numeric_points(exponents, coeffs, X[[rows[R[rows].argmin()] for rows in cells]])
 
     points = []
@@ -418,9 +435,7 @@ def _points(W: Superpotential, exponents, coeffs, us, R) -> list[CriticalPoint]:
         snapped = tuple(Fraction(z.real).limit_denominator(12) for z in point.coords)
         near = all(abs(z.imag) <= snap and s != 0 and abs(float(s) - z.real) <= snap * max(1.0, abs(float(s)))
                    for s, z in zip(snapped, point.coords))
-        point = _certified(W, point, snapped if near else None)
-        if point.exact or point.residual < NEWTON_TOL:
-            points.append(point)
+        points.append(_certified(W, point, snapped if near else None))
     points.sort(key=lambda p: tuple(part for z in p.coords for part in value_key(z)))  # blind to the last bits
     _isolated(exponents, coeffs, points)
     return points

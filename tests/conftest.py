@@ -55,6 +55,27 @@ def kernel(W, u):
     return t.sum(axis=1)[0], solver._gradient(exponents, t)[0], solver._hessian(solver._outer(exponents), t)[0]
 
 
+def exact_kernel(W, p):
+    """Value, log-gradient and log-Hessian of W at a rational point p, as
+    Fractions, from the solver's integer path: `kernel`'s functions run on
+    the exact term values over their common denominator."""
+    from toricqh import solver
+
+    n, t, den = solver._exact_terms(W, fracs(p))
+    hessian = solver._hessian(solver._outer(n), t)
+    return (Fraction(t.sum(), den), tuple(Fraction(g, den) for g in solver._gradient(n, t)),
+            tuple(tuple(Fraction(h, den) for h in row) for row in hessian))
+
+
+def affine_hessian(W, p):
+    """The second partials d^2 W / dx_i dx_j at a critical point p, as
+    D^-1 L D^-1 for the exact log-Hessian L and D = diag(p); the log-gradient
+    term of L vanishes there."""
+    _, gradient, log_hessian = exact_kernel(W, p)
+    assert not any(gradient), "p is not a critical point"
+    return tuple(tuple(h / (p[i] * p[j]) for j, h in enumerate(row)) for i, row in enumerate(log_hessian))
+
+
 def cp_closed_form(d: int):
     """Analytic oracle for projective d-space: the critical points of
     sum x_j + prod 1/x_j have all coordinates equal to a (d+1)-st root of

@@ -26,9 +26,9 @@ from toricqh.solver import SolverConfig, solve, value_key
 
 MANIFEST = Path(__file__).parent / "data" / "answers.json"
 
-# bl_points_5 --starts 600 misses a root at these seeds (ROADMAP item 12),
-# found among the first 1,000 random.Random(7).randrange(2**31) seeds and by
-# the geometry benchmark; the first five seeds of that sequence are the others.
+# bl_points_5 --starts 600 finds 59 of its 60 points at these seeds, found
+# among the first 1,000 random.Random(7).randrange(2**31) seeds and in the
+# geometry benchmark; the first five seeds of that sequence are the others.
 _MISSES = (309474798, 1799361519, 78009937, 1856188577, 818979512)
 _rng = random.Random(7)
 _OTHERS = tuple(_rng.randrange(2**31) for _ in range(5))

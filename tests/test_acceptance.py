@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import cp_closed_form, kernel, match_complex_sets, match_point_sets
+from conftest import affine_hessian, cp_closed_form, kernel, match_complex_sets, match_point_sets
 from toricqh import _exact, corpus, solver
 from toricqh._exact import affine_rank, ratvec
 from toricqh.batyrev import presentation, to_json
@@ -23,7 +23,7 @@ from toricqh.lattice import (
     lattice_points,
     normalized_volume,
 )
-from toricqh.potential import build_potential, jet
+from toricqh.potential import build_potential
 from toricqh.support import is_strictly_convex
 from toricqh.solver import (
     SolveReport,
@@ -62,7 +62,7 @@ def test_criterion_02_u8_degenerate_point(u8):
     W = build_potential(fan, F)
     cp = verify_point(W, (-1, -1, -1, 1))
     assert cp.exact and cp.residual == 0.0
-    hess = jet(W, (-1, -1, -1, 1))[2]
+    hess = affine_hessian(W, (-1, -1, -1, 1))  # from the exact log-Hessian that ranks cp
     published = ((-2, 0, 0, -1), (0, -4, 0, -2), (0, 0, -2, 1), (-1, -2, 1, -2))
     assert hess == tuple(tuple(Fraction(x) for x in row) for row in published)
     assert cp.hessian_rank == 3 and not cp.nondegenerate

@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import kernel
+from conftest import affine_hessian, exact_kernel, kernel
 from toricqh import corpus, solver
 from toricqh.errors import NonpositiveCoefficient
-from toricqh.potential import build_potential, jet, render
+from toricqh.potential import build_potential, render
 from toricqh.support import SupportFunction
 
 U8_POINT = (-1, -1, -1, 1)
@@ -62,15 +62,10 @@ def test_bl_points_monomials():
 
 
 def test_eval_examples():
-    assert jet(build("cp2"), (1, 1))[0] == pytest.approx(3)
-    assert jet(build("u8"), U8_POINT)[0] == Fraction(-6)
+    assert exact_kernel(build("cp2"), (1, 1))[0] == 3
+    assert exact_kernel(build("u8"), U8_POINT)[0] == Fraction(-6)
     log_omega = 2j * cmath.pi / 3
     assert abs(kernel(build("cp2"), (log_omega, log_omega))[0] - 3 * cmath.exp(log_omega)) < 1e-14
-
-
-def test_eval_rejects_zero_coordinate():
-    with pytest.raises(ValueError):
-        jet(build("cp2"), (0, 1))
 
 
 def test_log_gradient_cp2_root_of_unity():
@@ -80,7 +75,7 @@ def test_log_gradient_cp2_root_of_unity():
 
 
 def test_log_gradient_u8_exact_zero():
-    g = jet(build("u8"), U8_POINT)[1]
+    g = exact_kernel(build("u8"), U8_POINT)[1]
     assert g == (Fraction(0),) * 4
     _, g_float, _ = kernel(build("u8"), np.log(np.array(U8_POINT, dtype=complex)))
     assert max(abs(z) for z in g_float) < 1e-12
@@ -93,7 +88,7 @@ def test_log_hessian_symmetry_and_cp2_value():
 
 
 def test_affine_hessian_u8_matches_published_matrix():
-    h = jet(build("u8"), U8_POINT)[2]
+    h = affine_hessian(build("u8"), U8_POINT)
     assert h == tuple(tuple(Fraction(x) for x in row) for row in U8_HESSIAN)
 
 
@@ -101,21 +96,28 @@ def test_hessian_rank_agreement_at_critical_point():
     from toricqh._exact import rank
 
     W = build("u8")
-    affine = jet(W, U8_POINT)[2]
+    log_hessian = exact_kernel(W, U8_POINT)[2]
     point = solver._numeric_points(*solver._arrays(W), [U8_POINT])[0]
     assert point.residual < solver.NEWTON_TOL
-    assert rank([list(r) for r in affine]) == point.hessian_rank == 3
+    assert rank([list(r) for r in log_hessian]) == point.hessian_rank == 3
 
 
-def test_log_hessian_is_affine_conjugated_by_coordinates():
-    # H_log = D H_aff D + diag(log-gradient) with D = diag(p)
-    W = build("cp2")
-    p = (1.0, 1.0)
-    _, _, logh = kernel(W, np.log(p))
-    aff = np.array(jet(W, p)[2], dtype=float)
-    D = np.diag(p)
-    grad = np.array(jet(W, p)[1], dtype=float)
-    assert np.allclose(logh, D @ aff @ D + np.diag(grad))
+@pytest.mark.parametrize("name", ["cp2", "u8", "bl_points_4"])
+def test_exact_kernel_matches_float_kernel(name):
+    # `_certified` runs the float kernel's functions on the integer term
+    # values over their common denominator; a float anywhere in that path,
+    # such as a float exponent table, would make the certificate inexact
+    W = build(name)
+    rng = random.Random(23)
+    for _ in range(20):
+        p = tuple(rng.choice((-1, 1)) * Fraction(rng.uniform(0.5, 2)).limit_denominator(1000) for _ in range(W.dim))
+        n, t, den = solver._exact_terms(W, p)
+        gradient, hessian = solver._gradient(n, t), solver._hessian(solver._outer(n), t)
+        assert all(type(x) is int for x in (den, t.sum(), *n.flat, *t, *gradient, *hessian.flat))
+        floats = kernel(W, np.log(np.array([complex(x) for x in p])))
+        for exact, approx in zip((t.sum(), gradient, hessian), floats):
+            exact = np.vectorize(lambda x: float(Fraction(x, den)))(exact)
+            assert np.max(np.abs(approx - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 @pytest.mark.parametrize("name", ["cp2", "u8"])
@@ -158,28 +160,6 @@ def test_log_hessian_matches_finite_differences(name):
             gm = kernel(W, um)[1]
             for i in range(W.dim):
                 fd = (gp[i] - gm[i]) / (2 * h)
-                assert abs(fd - hess[i][j]) <= 1e-6 * max(1.0, abs(hess[i][j]))
-
-
-def test_affine_hessian_matches_finite_differences():
-    # difference the analytic first partials dW/dx_i = log_gradient_i / x_i,
-    # exactly, at rational points
-    W = build("cp2")
-    rng = random.Random(5)
-    h = Fraction(1, 10**6)
-
-    def affine_grad(q, i):
-        return jet(W, tuple(q))[1][i] / q[i]
-
-    for _ in range(20):
-        p = [Fraction(rng.uniform(0.5, 2)).limit_denominator(1000) for _ in range(W.dim)]
-        hess = jet(W, tuple(p))[2]
-        for j in range(W.dim):
-            pp, pm = list(p), list(p)
-            pp[j] += h
-            pm[j] -= h
-            for i in range(W.dim):
-                fd = (affine_grad(pp, i) - affine_grad(pm, i)) / (2 * h)
                 assert abs(fd - hess[i][j]) <= 1e-6 * max(1.0, abs(hess[i][j]))
 
 

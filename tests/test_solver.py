@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import match_complex_sets, match_point_sets, roots_of_unity
-from toricqh import corpus, potential, solver
+from toricqh import corpus, solver
 from toricqh.cli import run_cli
 from toricqh.errors import NotCritical, NotIsolated, OverCount
 from toricqh.fan import kushnirenko_bound
@@ -203,8 +203,8 @@ def test_budgets_outside_the_seeded_start_range_are_rejected(starts):
 
 def test_each_snapped_point_is_certified_from_one_exact_evaluation(monkeypatch):
     calls = []
-    term_values = potential._term_values
-    monkeypatch.setattr(potential, "_term_values", lambda W, p: calls.append(p) or term_values(W, p))
+    exact_terms = solver._exact_terms
+    monkeypatch.setattr(solver, "_exact_terms", lambda W, p: calls.append(p) or exact_terms(W, p))
     fan, F = corpus.build("bl_points_5")
     W = build_potential(fan, F)
     report = solve(W, kushnirenko_bound(fan), SolverConfig(seed=309474798, starts=600))
@@ -497,6 +497,18 @@ def test_a_degenerate_cell_is_one_point_with_its_samples_as_basin():
     samples = [((1 + 2.5e-5 * k,), 1e-13 * (1 + abs(k))) for k in range(-2, 3)] + [((1.5,), np.inf)]
     (point,) = _points_of(W, samples)
     assert (point.coords, point.hessian_rank, point.cluster_size, point.exact) == ((1,), 0, 5, True)
+
+
+def test_every_cell_of_converged_samples_is_a_point():
+    # Coefficients spread over 1e+-4: all samples converged in log coordinates,
+    # but four cells measure 1.86e-12 to 1.94e-12 at their printed coordinates
+    # exp(u), by rounding. They are points all the same.
+    coeffs = [3414.0440189545284, 311.3895087928574, 0.0026808524327566847, 0.04677280361218833, 2696.660090100562,
+              4386.026977996275, 0.005710711937789731, 0.02032747715398215, 0.2129427003803032, 8.222646273319443]
+    W, expected = build("u8", coeffs)
+    report = solve(W, expected, SolverConfig(seed=31))
+    assert report.found_count == 16
+    assert sum(p.residual > solver.NEWTON_TOL for p in report.points) == 4
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

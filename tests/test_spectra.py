@@ -1,6 +1,8 @@
 import cmath
+import itertools
 import json
 
+import numpy as np
 import pytest
 
 from conftest import cp_closed_form, match_complex_sets
@@ -85,6 +87,32 @@ def test_spectrum_json_schema():
         assert len(row) == 4
         re, im, mult, flag = row
         assert mult >= 1 and isinstance(flag, bool)
+
+
+def fano_index(fan) -> int:
+    """The largest r that divides -K, the sum of the toric divisors, in Pic:
+    some m in M / rM has <m, n_rho> = -1 mod r on every ray. Brute force over
+    m mod r; r is at most dim + 1."""
+    rays = np.array(fan.rays)
+    for r in range(fan.dim + 1, 1, -1):
+        m = np.array(list(itertools.product(range(r), repeat=fan.dim)))
+        if np.all((m @ rays.T + 1) % r == 0, axis=1).any():
+            return r
+    return 1
+
+
+FANO = ["cp1", "cp2", "cp3", "cp4", "cp5", "cp6", "cp1xcp1", "bl1_cp2", "bl2_cp2", "bl3_cp2", "u8"]
+
+
+@pytest.mark.parametrize("name", FANO)
+def test_largest_critical_values_are_the_fano_index_many_and_one_is_positive(name):
+    # Conjecture O (Galkin-Golyshev-Iritani, Duke Math. J. 165, 2016): the
+    # spectral radius T of c1 is an eigenvalue, and the eigenvalues of modulus
+    # T are T times the r-th roots of unity, r the Fano index
+    _, _, spec = spectrum_of(name)
+    T = max(abs(v) for v in values(spec))
+    assert any(abs(v - T) <= 1e-9 * T for v in values(spec))
+    assert sum(abs(abs(v) - T) <= 1e-9 * T for v in values(spec)) == fano_index(corpus.build(name)[0])
 
 
 def test_eigenvalue_interpretation_documented():
