@@ -5,7 +5,10 @@ root count and the semisimplicity verdict.
 Newton runs in logarithmic coordinates u (x = exp(u)), where the gradient
 and Hessian of W(exp(u)) are exact finite sums; the torus constraint
 disappears. The starts (`_starts`) run through one batched Newton kernel
-(`_newton`). Each cell of converged samples (`_cells`) is one critical
+(`_newton`). A call large enough to give two or more CPUs a full pool of
+rows each deals its rows to forked processes, at most one per CPU
+(`_newton_per_cpu`); every row runs alone, so the report does not depend
+on the CPU count. Each cell of converged samples (`_cells`) is one critical
 point (`_points`); the verdicts count isolated points, so a degenerate
 point on a curve of critical points raises `NotIsolated` (`_isolated`). One
 function, `_certified`, makes a point exact: at a rational candidate (a
@@ -26,7 +29,8 @@ kernel.
 """
 
 import json
-import math
+import os
+import threading
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -283,19 +287,66 @@ def _newton(exponents, coeffs, u0):
         rows, u, t, g, residual = rows[~stop], u[~stop], t[~stop], g[~stop], residual[~stop]
         step, solvable = _newton_steps(_hessian(outer, t), g)
         rows, u, step, residual = rows[solvable], u[solvable], step[solvable], residual[solvable]
-        norm, previous = np.abs(step).max(axis=1), last_ratio[rows]
+        norm = np.abs(step).max(axis=1)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a zero or tiny last step
             ratio = norm / last_norm[rows]
-        linear = (
-            (residual < LINEAR_RESIDUAL) & (LINEAR_RATIO[0] < ratio) & (ratio < LINEAR_RATIO[1])
-            & (np.abs(ratio - previous) <= RATIO_AGREEMENT * previous)
-        )
-        if linear.any():
-            step[linear] /= (1.0 - ratio[linear])[:, None]
-            norm[linear] = np.nan  # so the next ratio is nan, and the history starts afresh
+        linear = residual < LINEAR_RESIDUAL
+        if linear.any():  # else no row is near a root, as on about 40% of the sweep's iterations
+            previous = last_ratio[rows]
+            linear &= (LINEAR_RATIO[0] < ratio) & (ratio < LINEAR_RATIO[1])
+            linear &= np.abs(ratio - previous) <= RATIO_AGREEMENT * previous
+            if linear.any():
+                step[linear] /= (1.0 - ratio[linear])[:, None]
+                norm[linear] = np.nan  # so the next ratio is nan, and the history starts afresh
         last_norm[rows], last_ratio[rows] = norm, ratio
         u = u + step
     return sample_u, sample_res
+
+
+def _newton_per_cpu(exponents, coeffs, u0):
+    """`_newton` on the rows of u0, dealt round-robin to forked processes, at
+    most one per CPU and each with a full pool of _BLOCK rows; bit for bit the
+    one-process call, as every row runs alone. The share of a child that
+    exits non-zero or sends short data runs here; no child outlives the call.
+    Without os.fork or os.sched_getaffinity, or with another thread running
+    (a fork copies only the calling thread), all rows run here."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(u0) // _BLOCK)
+    if workers < 2 or threading.active_count() > 1:
+        return _newton(exponents, coeffs, u0)
+    children = {}  # share k -> (pid, read end of its pipe)
+    try:
+        for k in range(1, workers):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:  # the child sends share k and exits, never returning to the caller
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        pipe.write(b"".join(a.tobytes() for a in _newton(exponents, coeffs, u0[k::workers])))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children[k] = pid, open(read, "rb")
+        us, R = np.empty_like(u0), np.empty(len(u0))
+        us[::workers], R[::workers] = _newton(exponents, coeffs, u0[::workers])
+        for k, (pid, pipe) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[k]
+            share = u0[k::workers]
+            if status == 0 and len(data) == share.nbytes + len(share) * R.itemsize:
+                us[k::workers] = np.frombuffer(data, complex, share.size).reshape(share.shape)
+                R[k::workers] = np.frombuffer(data, float, offset=share.nbytes)
+            else:
+                us[k::workers], R[k::workers] = _newton(exponents, coeffs, share)
+        return us, R
+    finally:  # after an exception: kill and reap the children left
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL; importing `signal` would cost every solve about 0.6 ms
+            os.waitpid(pid, 0)
 
 
 def _newton_steps(h, g):
@@ -347,7 +398,13 @@ def _exact_terms(W: Superpotential, p):
     common denominator den, and den. So t.sum(), `_gradient(n, t)` and
     `_hessian(_outer(n), t)` are den times W's value, log-gradient and
     log-Hessian at p, exactly."""
-    values = [Fraction(term.coefficient) * math.prod(x ** e for x, e in zip(p, term.exponent) if e) for term in W.terms]
+    values = []
+    for term in W.terms:  # numerator and denominator as ints: one Fraction, one gcd, per term
+        num, den = term.coefficient.as_integer_ratio()
+        for x, e in zip(p, term.exponent):
+            a, b = (x.numerator, x.denominator) if e >= 0 else (x.denominator, x.numerator)
+            num, den = num * a ** abs(e), den * b ** abs(e)
+        values.append(Fraction(num, den))
     (t,), (den,) = _exact._integer_rows([values])
     return np.array([term.exponent for term in W.terms], dtype=object), np.array(t, dtype=object), den
 
@@ -448,7 +505,8 @@ def solve(W: Superpotential, expected_count: int, cfg: SolverConfig = SolverConf
     what default_rng([seed, k]) would draw, bit for bit, from one vectorised
     pass over a range of k (`_starts`), drawn only when it runs; numpy.random
     is never loaded. Every row of the batched Newton kernel runs
-    independently, so results do not depend on the width of its pool.
+    independently, so results depend neither on the width of its pool nor
+    on the number of processes that share the rows (`_newton_per_cpu`).
 
     A default budget runs only the first _PROBE_PER_POINT starts per expected
     point if they close the count (see the module docstring), else all starts.
@@ -458,10 +516,10 @@ def solve(W: Superpotential, expected_count: int, cfg: SolverConfig = SolverConf
     exponents, coeffs = _arrays(W)
     n_starts = cfg.budget(expected_count)
     probe = min(n_starts, _PROBE_PER_POINT * expected_count) if cfg.starts is None else n_starts
-    us, R = _newton(exponents, coeffs, _starts(cfg.seed, 0, probe, W.dim))
+    us, R = _newton_per_cpu(exponents, coeffs, _starts(cfg.seed, 0, probe, W.dim))
     report = SolveReport(expected_count, tuple(_points(W, exponents, coeffs, us, R)), len(us))
     if probe < n_starts and report.verdict is not Verdict.SEMISIMPLE:
-        rest_us, rest_R = _newton(exponents, coeffs, _starts(cfg.seed, probe, n_starts, W.dim))
+        rest_us, rest_R = _newton_per_cpu(exponents, coeffs, _starts(cfg.seed, probe, n_starts, W.dim))
         us, R = np.concatenate([us, rest_us]), np.concatenate([R, rest_R])
         report = SolveReport(expected_count, tuple(_points(W, exponents, coeffs, us, R)), len(us))
     if report.found_count > expected_count:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -675,6 +676,153 @@ def test_newton_kernel_singular_hessian_rows_stop_alone():
     u0[20] = 60.0
     outcomes = _assert_kernel_matches_reference(W, u0)
     assert [i for i, ok in enumerate(outcomes) if not ok] == [0, 17, 20, 39]
+
+
+def _cpus(monkeypatch, n):
+    """Make the solver see n CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _count_forks(monkeypatch):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forked_newton_matches_the_one_process_kernel_bit_for_bit_on_u8(monkeypatch, u8, seed):
+    fan, F = u8
+    exponents, coeffs = solver._arrays(build_potential(fan, F))
+    u0 = solver._starts(seed, 0, 4800, 4)
+    _cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    us, R = solver._newton_per_cpu(exponents, coeffs, u0)
+    assert len(forks) == 1
+    ref_us, ref_R = solver._newton(exponents, coeffs, u0)
+    assert us.tobytes() == ref_us.tobytes() and R.tobytes() == ref_R.tobytes()
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus, block, rows, children", [
+    (2, solver._BLOCK, 2 * solver._BLOCK + 1, 1),  # uneven shares: 1,025 and 1,024 rows
+    (2, solver._BLOCK, 2 * solver._BLOCK - 1, 0),  # one process short of a full pool each
+    (8, 64, 300, 3),  # four shares, not eight: each gets a full pool
+])
+def test_newton_rows_are_dealt_to_processes_with_full_pools(monkeypatch, cpus, block, rows, children):
+    W, _ = build("bl_points_5")
+    exponents, coeffs = solver._arrays(W)
+    u0 = _seeded_starts(W.dim, rows)
+    ref_us, ref_R = solver._newton(exponents, coeffs, u0)
+    _cpus(monkeypatch, cpus)
+    monkeypatch.setattr(solver, "_BLOCK", block)
+    forks = _count_forks(monkeypatch)
+    us, R = solver._newton_per_cpu(exponents, coeffs, u0)
+    assert len(forks) == children
+    assert us.tobytes() == ref_us.tobytes() and R.tobytes() == ref_R.tobytes()
+    _assert_no_child_left()
+
+
+def test_one_cpu_gives_the_same_report(monkeypatch, u8):
+    fan, F = u8
+    W, expected = build_potential(fan, F), kushnirenko_bound(fan)
+    _cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    forked = report_to_json(solve(W, expected, SolverConfig(seed=1, starts=4800)))
+    assert len(forks) == 1
+    _cpus(monkeypatch, 1)
+    assert report_to_json(solve(W, expected, SolverConfig(seed=1, starts=4800))) == forked
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("failure", ["raises", "exits without data", "killed", "exits non-zero after its data"])
+def test_a_failed_child_share_runs_in_the_parent(monkeypatch, u8, failure):
+    fan, F = u8
+    W, expected = build_potential(fan, F), kushnirenko_bound(fan)
+    _cpus(monkeypatch, 2)
+    reference = report_to_json(solve(W, expected, SolverConfig(seed=1, starts=4800)))
+    parent, newton, exit_ = os.getpid(), solver._newton, os._exit
+    in_parent = []
+
+    def kernel(exponents, coeffs, u0):
+        if os.getpid() == parent:
+            in_parent.append(len(u0))
+        elif failure == "raises":
+            raise MemoryError
+        elif failure == "exits without data":
+            exit_(0)
+        elif failure == "killed":
+            os.kill(os.getpid(), 9)
+        return newton(exponents, coeffs, u0)
+
+    monkeypatch.setattr(solver, "_newton", kernel)
+    if failure == "exits non-zero after its data":
+        monkeypatch.setattr(os, "_exit", lambda code: exit_(3))
+    forks = _count_forks(monkeypatch)
+    assert report_to_json(solve(W, expected, SolverConfig(seed=1, starts=4800))) == reference
+    assert len(forks) == 1 and in_parent == [2400, 2400]  # its own share, then the child's
+    _assert_no_child_left()
+
+
+def test_an_exception_in_the_parent_kills_and_reaps_every_child(monkeypatch):
+    W, _ = build("bl_points_5")
+    exponents, coeffs = solver._arrays(W)
+    _cpus(monkeypatch, 4)
+    monkeypatch.setattr(solver, "_BLOCK", 16)
+    parent, newton = os.getpid(), solver._newton
+
+    def kernel(exponents, coeffs, u0):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return newton(exponents, coeffs, u0)
+
+    monkeypatch.setattr(solver, "_newton", kernel)
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(KeyboardInterrupt):
+        solver._newton_per_cpu(exponents, coeffs, _seeded_starts(W.dim, 4000))
+    assert len(forks) == 3
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("why", ["no os.fork", "no os.sched_getaffinity", "a second thread", "one CPU"])
+def test_newton_runs_in_one_process_when_forking_is_unsafe_or_useless(monkeypatch, why):
+    W, _ = build("cp2")
+    exponents, coeffs = solver._arrays(W)
+    u0 = _seeded_starts(W.dim, 3000)
+    ref_us, ref_R = solver._newton(exponents, coeffs, u0)
+    _cpus(monkeypatch, 1 if why == "one CPU" else 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    if why.startswith("no os."):
+        monkeypatch.delattr(os, why[6:])
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    if why == "a second thread":
+        thread.start()
+    try:
+        us, R = solver._newton_per_cpu(exponents, coeffs, u0)
+    finally:
+        done.set()
+    assert us.tobytes() == ref_us.tobytes() and R.tobytes() == ref_R.tobytes()
+
+
+def test_the_sweep_and_geometry_solves_stay_in_one_process(monkeypatch):
+    # The benchmark's solve_sweep entries at their default budget (at most
+    # 200 * 7 - 56 = 1,344 rows in one Newton call) and geometry's bl_points_5
+    # at 600 starts never fork, even with many CPUs; if a later threshold makes
+    # them fork, this fails.
+    _cpus(monkeypatch, 64)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    for name in ("cp1", "cp2", "cp3", "cp4", "cp5", "cp6", "cp1xcp1", "bl1_cp2", "bl2_cp2", "bl3_cp2"):
+        fan, F = corpus.build(name)
+        W, expected = build_potential(fan, F), kushnirenko_bound(fan)
+        assert solve(W, expected, SolverConfig(seed=1)).verdict is Verdict.SEMISIMPLE
+        assert 200 * expected - solver._PROBE_PER_POINT * expected < 2 * solver._BLOCK  # a probe that fails too
+    fan, F = corpus.build("bl_points_5")
+    assert solve(build_potential(fan, F), kushnirenko_bound(fan), SolverConfig(seed=1, starts=600)).found_count == 60
 
 
 def test_seed_independence_of_point_set():
