@@ -2,13 +2,14 @@
 
 Vectors are tuples, matrices are lists of row tuples; entries are ints or
 Fractions. Every elimination runs on Python ints through one fraction-free
-Gauss-Jordan core (Bareiss 1968): rational rows are first scaled by the lcm of
-their denominators, which changes neither rank, kernel nor solutions.
+Gauss-Jordan core (Bareiss 1968). `integer_rows` is the one place rationals
+become integers: it scales all rows by one common denominator D, which
+changes neither rank, kernel nor solutions, and `det` divides by D^n.
 Everything is copied before elimination, so callers can share inputs freely.
 """
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 IntVec = tuple[int, ...]
 RatVec = tuple[Fraction, ...]
@@ -26,17 +27,13 @@ def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def _integer_rows(rows) -> tuple[list, list[int]]:
-    """Each row scaled to integers by the lcm of its denominators; also the
-    scales. All-int rows come back as they are, each with scale 1."""
+def integer_rows(rows) -> tuple[int, list]:
+    """(D, D times each row) for the least D > 0 that makes every entry an
+    integer. All-int rows come back as they are, with D = 1."""
     if all(type(x) is int for r in rows for x in r):
-        return list(rows), [1] * len(rows)
-    m, scales = [], []
-    for r in rows:
-        den = lcm(*(x.denominator for x in r))
-        m.append([int(x * den) for x in r])
-        scales.append(den)
-    return m, scales
+        return 1, list(rows)
+    den = lcm(*(x.denominator for r in rows for x in r))
+    return den, [tuple(x.numerator * (den // x.denominator) for x in r) for r in rows]
 
 
 def _eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
@@ -74,22 +71,22 @@ def _eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
 def rank(rows) -> int:
     if not rows:
         return 0
-    m, _ = _integer_rows(rows)
+    _, m = integer_rows(rows)
     return len(_eliminate(m, len(m[0]))[0])
 
 
 def det(rows) -> Fraction:
-    m, scales = _integer_rows(rows)
+    den, m = integer_rows(rows)
     pivots, d, sign = _eliminate(m, len(m))
     if len(pivots) < len(m):
         return Fraction(0)
-    return Fraction(sign * d, prod(scales))
+    return Fraction(sign * d, den ** len(m))
 
 
 def solve(rows, rhs) -> RatVec | None:
     """Solve the square system rows @ x = rhs; None when singular."""
     n = len(rows)
-    m, _ = _integer_rows([(*r, b) for r, b in zip(rows, rhs)])
+    _, m = integer_rows([(*r, b) for r, b in zip(rows, rhs)])
     pivots, d, _ = _eliminate(m, n)
     if len(pivots) < n:
         return None
@@ -100,7 +97,7 @@ def integer_kernel(rows, ncols) -> tuple[list[list[int]], int]:
     """(D times the reduced-echelon kernel basis, D): one integer vector per
     free column. With ncols - 1 independent rows the one vector is, up to
     sign, the signed maximal minors of the rows."""
-    m, _ = _integer_rows(rows)
+    _, m = integer_rows(rows)
     pivots, d, _ = _eliminate(m, ncols)
     basis = []
     for fc in range(ncols):
@@ -117,7 +114,7 @@ def primitive(v) -> IntVec:
     """Scale a nonzero rational vector by a positive factor to coprime integers."""
     if not any(v):
         raise ValueError("zero vector has no primitive representative")
-    ints = _integer_rows([v])[0][0]
+    ints = integer_rows([v])[1][0]
     g = gcd(*ints)
     return tuple(x // g for x in ints)
 

@@ -78,16 +78,13 @@ def bl_cp2_vertices(k: int) -> tuple[IntVec, ...]:
 
 
 def bl_points_vertices(d: int) -> tuple[IntVec, ...]:
-    """Projective d-space blown up at its d+1 torus-fixed points:
-    rays {+-e_j} united with {+-(1,..,1)}. Supported for 2 <= d <= 5."""
+    """Projective d-space blown up at its d+1 torus-fixed points, in the
+    fan's ray order: the rays r_0 .. r_d of projective d-space, then their
+    negatives. Supported for 2 <= d <= 5."""
     if not 2 <= d <= 5:
         raise ValueError("d must be between 2 and 5")
-    rays = []
-    for i in range(d):
-        e = tuple(int(i == j) for j in range(d))
-        rays += [e, tuple(-x for x in e)]
-    rays += [(1,) * d, (-1,) * d]
-    return tuple(rays)
+    base = cp_vertices(d)
+    return base + tuple(tuple(-x for x in r) for r in base)
 
 
 def bl_points_fan(d: int) -> Fan:
@@ -98,16 +95,13 @@ def bl_points_fan(d: int) -> Fan:
     non-simplicial facets, this fan refines its face fan, and the
     anticanonical support function is convex but not strictly convex.
     """
-    if not 2 <= d <= 5:
-        raise ValueError("d must be between 2 and 5")
-    base = list(cp_vertices(d))  # r_0 .. r_d summing to zero
-    rays = base + [tuple(-x for x in r) for r in base]
+    rays = bl_points_vertices(d)  # r_0 .. r_d summing to zero, then -r_0 .. -r_d
     maximal = []
     for j in range(d + 1):
         # the cone spanned by all r_i, i != j, is subdivided at -r_j
         others = [i for i in range(d + 1) if i != j]
         for rho in others:
-            maximal.append(tuple(sorted([len(base) + j] + [i for i in others if i != rho])))
+            maximal.append(tuple(sorted([d + 1 + j] + [i for i in others if i != rho])))
     return Fan(d, rays, maximal)
 
 

@@ -12,7 +12,7 @@ builds one hull per point set.
 import itertools
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import ceil, floor, lcm
+from math import ceil, floor
 from typing import NamedTuple
 
 from . import _exact
@@ -53,10 +53,11 @@ class Polytope:
         return _hulls[pts]
 
     @cached_property
-    def scaled(self) -> tuple[int, list[IntVec], list[int]]:
+    def scaled(self) -> tuple[int, list[IntVec], IntVec]:
         """(D, D times each vertex, D times each facet offset) for the least
         D > 0 that makes them all integers."""
-        return _integer(self.vertices, [f.offset for f in self.facets])
+        den, rows = _exact.integer_rows([*self.vertices, [f.offset for f in self.facets]])
+        return den, rows[:-1], rows[-1]
 
     @cached_property
     def incidence(self) -> tuple[frozenset[int], ...]:
@@ -83,19 +84,11 @@ class Polytope:
 _hulls: dict[tuple[RatVec, ...], Polytope] = {}
 
 
-def _integer(points, offsets=()) -> tuple[int, list[IntVec], list[int]]:
-    """(D, D times each point, D times each offset) for the least D > 0 that
-    makes them all integers, so that side tests and minors run on ints."""
-    den = lcm(*(x.denominator for p in points for x in p), *(c.denominator for c in offsets))
-    return (den, [tuple(x.numerator * (den // x.denominator) for x in p) for p in points],
-            [c.numerator * (den // c.denominator) for c in offsets])
-
-
 def _hull(pts: tuple[RatVec, ...]) -> Polytope:
     """Hull of sorted, distinct rational points: a point is a vertex when the
     normals of the facets through it have full rank."""
     facets = convex_hull_facets(pts)
-    _, ipts, offsets = _integer(pts, [f.offset for f in facets])
+    *ipts, offsets = _exact.integer_rows([*pts, [f.offset for f in facets]])[1]
     dim = len(pts[0])
     vertices = [p for p, q in zip(pts, ipts)
                 if _exact.rank([f.normal for f, c in zip(facets, offsets) if dot(q, f.normal) == c]) == dim]
@@ -116,7 +109,7 @@ def convex_hull_facets(points) -> list[Facet]:
     if not pts:
         raise NotFullDimensional("no points given")
     d = len(pts[0])
-    den, ipts, _ = _integer(pts)
+    den, ipts = _exact.integer_rows(pts)
     if affine_rank(ipts) < d:
         raise NotFullDimensional(f"points span affine dimension {affine_rank(ipts)} < {d}")
 

@@ -405,7 +405,7 @@ def _exact_terms(W: Superpotential, p):
             a, b = (x.numerator, x.denominator) if e >= 0 else (x.denominator, x.numerator)
             num, den = num * a ** abs(e), den * b ** abs(e)
         values.append(Fraction(num, den))
-    (t,), (den,) = _exact._integer_rows([values])
+    den, (t,) = _exact.integer_rows([values])
     return np.array([term.exponent for term in W.terms], dtype=object), np.array(t, dtype=object), den
 
 

@@ -253,6 +253,19 @@ def test_elimination_edge_cases():
     assert _exact.det([(0, 1), (1, 0)]) == -1
 
 
+def test_integer_rows_scale_by_the_least_common_denominator():
+    assert _exact.integer_rows([(Fraction(1, 2), 1), (Fraction(1, 3), 0)]) == (6, [(3, 6), (2, 0)])
+    rows = [(1, -2), [0, 5]]
+    den, scaled = _exact.integer_rows(rows)
+    assert den == 1 and scaled == rows and all(a is b for a, b in zip(scaled, rows))
+
+
+def test_scaled_polytope_shares_the_least_denominator_of_vertices_and_offsets():
+    P = Polytope.from_points([(Fraction(1, 2), 0), (0, Fraction(1, 2)), (1, 1)])
+    assert Fraction(1, 2) in [f.offset for f in P.facets]
+    assert P.scaled == (2, [(0, 1), (1, 0), (2, 2)], (-2, -2, 1))
+
+
 def test_integer_kernel_is_the_signed_minors_up_to_sign():
     rng = random.Random(5)
     for d in range(2, 6):

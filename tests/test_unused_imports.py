@@ -1,6 +1,7 @@
-"""Every name a package module or test file imports is used in that file,
-and no package module imports `dataclasses`: its import loads `inspect`,
-and a frozen record's generated methods are compiled at every start-up."""
+"""Every name a package module or test file imports is used in that file;
+no package module imports `dataclasses`: its import loads `inspect`, and a
+frozen record's generated methods are compiled at every start-up; and no
+package module reads another's underscore-prefixed names."""
 
 import ast
 from pathlib import Path
@@ -49,3 +50,35 @@ def test_the_import_check_sees_dataclasses():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_package_module_does_not_import_dataclasses(path):
     assert "dataclasses" not in _imported_modules(path.read_text(encoding="utf-8"))
+
+
+def _private_reads(source: str) -> list[str]:
+    """Every underscore-prefixed name of another package module that source
+    reads, as `module._name` or by `from .module import _name`. Importing a
+    module whose own name starts with an underscore, as `from . import
+    _exact`, is not a read."""
+    tree = ast.parse(source)
+    modules, reads = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    reads.append((node.lineno, f"{node.module}.{alias.name}"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            reads.append((node.lineno, f"{modules[node.value.id]}.{node.attr}"))
+    return [f"line {line}: {name}" for line, name in sorted(reads)]
+
+
+def test_the_structure_check_sees_private_reads():
+    source = ("from . import _exact, lattice as lat\nfrom .solver import _points, solve\n"
+              "from ._exact import IntVec\n_exact.rank(lat._hull(_exact._eliminate))\n")
+    assert _private_reads(source) == ["line 2: solver._points", "line 4: _exact._eliminate", "line 4: lattice._hull"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_module_reads_no_private_name_of_another(path):
+    assert _private_reads(path.read_text(encoding="utf-8")) == []
