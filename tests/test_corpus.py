@@ -134,6 +134,7 @@ def test_bl_points_2_equals_bl3_cp2():
 def test_bl_points_fan_counts():
     for d in (2, 3, 4, 5):
         fan = bl_points_fan(d)
+        assert fan.rays == bl_points_vertices(d)
         assert len(fan.rays) == 2 * d + 2
         assert len(fan.maximal_cones) == d * (d + 1)
         assert is_smooth(fan)[0] and is_complete(fan)
