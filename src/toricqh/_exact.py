@@ -93,21 +93,12 @@ def solve(rows, rhs) -> RatVec | None:
     return tuple(Fraction(row[n], d) for row in m)
 
 
-def integer_kernel(rows, ncols) -> tuple[list[list[int]], int]:
-    """(D times the reduced-echelon kernel basis, D): one integer vector per
-    free column. With ncols - 1 independent rows the one vector is, up to
-    sign, the signed maximal minors of the rows."""
+def echelon(rows, ncols) -> tuple[list[int], int, list]:
+    """(pivot columns, D, D times the reduced row echelon form over the first
+    `ncols` columns) of the rows scaled by `integer_rows`: one elimination."""
     _, m = integer_rows(rows)
     pivots, d, _ = _eliminate(m, ncols)
-    basis = []
-    for fc in range(ncols):
-        if fc not in pivots:
-            v = [0] * ncols
-            v[fc] = d
-            for row, pc in zip(m, pivots):
-                v[pc] = -row[fc]
-            basis.append(v)
-    return basis, d
+    return pivots, d, m
 
 
 def primitive(v) -> IntVec:

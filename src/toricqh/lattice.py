@@ -96,42 +96,48 @@ def _hull(pts: tuple[RatVec, ...]) -> Polytope:
 
 
 def convex_hull_facets(points) -> list[Facet]:
-    """Irredundant facet list of conv(points), primitive inner normals.
+    """Irredundant facet list of conv(points), primitive inner normals, by the
+    double-description method (Motzkin et al. 1953; Fukuda and Prodon,
+    "Double description method revisited", 1996).
 
-    Every affinely independent d-subset of the points spans a hyperplane
-    whose normal is the vector of signed (d-1)-minors of its difference rows;
-    the hyperplane carries a facet when all points lie on one side of it.
-    Rational points are scaled to one common denominator first, so minors and
-    side tests run on integers. C(n, d) candidates: intended for small
-    instances (d <= 6, at most a few dozen points).
+    A facet <n, x> >= c is an extreme ray y = (n, -c) of the cone of all y
+    with y . (p, 1) >= 0 for every point p. The first d + 1 affinely
+    independent points, in the order given, cut out a simplicial cone: its
+    rays are the rows of the inverse of the matrix with columns (p, 1), and
+    one elimination finds the points and the inverse. Each further point
+    keeps the rays on its nonnegative side and joins each adjacent pair
+    across it: a and b are adjacent when no other ray vanishes on every point
+    so far on which both vanish. Rational points are scaled to one common
+    denominator first, so everything runs on integers.
     """
-    pts = sorted(set(tuple(p) for p in points))
+    pts = list(dict.fromkeys(tuple(p) for p in points))
     if not pts:
         raise NotFullDimensional("no points given")
-    d = len(pts[0])
+    d, n = len(pts[0]), len(pts)
     den, ipts = _exact.integer_rows(pts)
-    if affine_rank(ipts) < d:
-        raise NotFullDimensional(f"points span affine dimension {affine_rank(ipts)} < {d}")
-
-    candidates: set[tuple[IntVec, int]] = set()
-    for subset in itertools.combinations(ipts, d):
-        base = subset[0]
-        ker, _ = _exact.integer_kernel([vsub(q, base) for q in subset[1:]], d)
-        if len(ker) != 1:
+    hom = [(*p, 1) for p in ipts]
+    # the columns (p, 1) beside an identity block: the pivots are the first
+    # d + 1 independent columns, and the block ends as `scale` times the
+    # inverse of the matrix they form
+    eye = [[int(i == j) for j in range(d + 1)] for i in range(d + 1)]
+    pivots, scale, m = _exact.echelon([(*col, *e) for col, e in zip(zip(*hom), eye)], n)
+    if len(pivots) <= d:
+        raise NotFullDimensional(f"points span affine dimension {len(pivots) - 1} < {d}")
+    basis = sum(1 << i for i in pivots)
+    # (primitive ray, bit mask of the points so far on which it vanishes)
+    rays = [(_exact.primitive([x if scale > 0 else -x for x in row[n:]]), basis ^ 1 << i) for row, i in zip(m, pivots)]
+    for i, h in enumerate(hom):
+        if basis >> i & 1:
             continue
-        n = _exact.primitive(ker[0])
-        if next(x for x in n if x != 0) < 0:
-            n = tuple(-x for x in n)
-        candidates.add((n, dot(base, n)))
-
-    facets = []
-    for n, c in candidates:
-        vals = [dot(p, n) for p in ipts]
-        if min(vals) == c:
-            facets.append(Facet(n, Fraction(c, den)))
-        elif max(vals) == c:
-            facets.append(Facet(tuple(-x for x in n), Fraction(-c, den)))
-    return sorted(facets)
+        vals = [dot(r, h) for r, _ in rays]
+        kept = [(r, z | (v == 0) << i) for (r, z), v in zip(rays, vals) if v >= 0]
+        for (a, za), va in zip(rays, vals):
+            for (b, zb), vb in zip(rays, vals):
+                if va > 0 > vb and (z := za & zb).bit_count() >= d - 1 and sum(z & zc == z for _, zc in rays) == 2:
+                    kept.append((_exact.primitive([va * y - vb * x for x, y in zip(a, b)]), z | 1 << i))
+        rays = kept
+    # a primitive ray has a primitive normal: c is <n, p> for a point p on the facet
+    return sorted(Facet(r[:d], Fraction(-r[d], den)) for r, _ in rays)
 
 
 @lru_cache(maxsize=None)

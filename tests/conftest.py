@@ -67,6 +67,25 @@ def exact_kernel(W, p):
             tuple(tuple(Fraction(h, den) for h in row) for row in hessian))
 
 
+def integer_kernel(rows, ncols):
+    """(D times the reduced-echelon kernel basis, D) read off the package's
+    elimination, one integer vector per free column. With ncols - 1
+    independent rows the one vector is, up to sign, the signed maximal minors
+    of the rows."""
+    from toricqh import _exact
+
+    pivots, d, m = _exact.echelon(rows, ncols)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [0] * ncols
+            v[fc] = d
+            for row, pc in zip(m, pivots):
+                v[pc] = -row[fc]
+            basis.append(v)
+    return basis, d
+
+
 def affine_hessian(W, p):
     """The second partials d^2 W / dx_i dx_j at a critical point p, as
     D^-1 L D^-1 for the exact log-Hessian L and D = diag(p); the log-gradient

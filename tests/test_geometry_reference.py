@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import integer_kernel
 from toricqh import _exact, corpus
 from toricqh.lattice import (
     Facet,
@@ -92,7 +93,7 @@ def _ref_solve(rows, rhs):
 
 def _kernel(rows, ncols):
     """The package's kernel basis over Q: `integer_kernel` divided by its D."""
-    basis, d = _exact.integer_kernel(rows, ncols)
+    basis, d = integer_kernel(rows, ncols)
     return [tuple(Fraction(x, d) for x in v) for v in basis]
 
 
@@ -274,7 +275,7 @@ def test_integer_kernel_is_the_signed_minors_up_to_sign():
             minors = [
                 (-1) ** j * _ref_det([r[:j] + r[j + 1:] for r in rows]) for j in range(d)
             ]
-            ker, _ = _exact.integer_kernel(rows, d)
+            ker, _ = integer_kernel(rows, d)
             if not any(minors):
                 assert len(ker) != 1
                 continue

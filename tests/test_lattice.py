@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from toricqh import corpus, lattice
-from toricqh._exact import affine_rank, dot, integer_kernel, primitive, ratvec, vsub
+from conftest import integer_kernel
+from toricqh import _exact, corpus, lattice
+from toricqh._exact import affine_rank, dot, primitive, ratvec, vsub
 from toricqh.errors import NotFullDimensional, OriginNotInterior
 from toricqh.fan import kushnirenko_bound
 from toricqh.lattice import (
@@ -215,3 +216,68 @@ def test_hull_matches_oracle(d):
             continue
         assert convex_hull_facets([ratvec(p) for p in pts]) == _oracle_facets(pts)
         done += 1
+
+
+def _moment_points(name):
+    """Every lattice point of a moment polytope, with its vertices standing in
+    for them in the oracle: C(35, 3) subsets would take the oracle seconds."""
+    M = dual_polytope(corpus.entry(name).ray_polytope())
+    return lattice_points(M), M.vertices
+
+
+def _rational_points(k):
+    """A seeded rational point set in dimension 2 to 5 with collinear points."""
+    rng, d = random.Random(29 + k), 2 + k % 4
+    while True:
+        pts = [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)) for _ in range(d + 4)]
+        a, b = pts[0], pts[1]
+        pts += [tuple(x + t * (y - x) for x, y in zip(a, b)) for t in (Fraction(1, 2), 2)]
+        if affine_rank(pts) == d:
+            return pts, pts
+
+
+def _cube(d):
+    return (list(itertools.product((-1, 1), repeat=d)),) * 2
+
+
+def _cross(d):
+    return ([tuple(s * (i == j) for j in range(d)) for i in range(d) for s in (-1, 1)],) * 2
+
+
+# name -> (points, a point set of the same hull for the oracle), built in the
+# test: every catalog ray polytope's vertices (bl_points_5 has 20 facets of 6)
+_HULL_INPUTS = {
+    **{e.name: lambda e=e: (e.dual_vertices,) * 2 for e in corpus.catalog()},
+    "cp2_moment_points": lambda: _moment_points("cp2"),
+    "cp3_moment_points": lambda: _moment_points("cp3"),
+    "cube3": lambda: _cube(3),
+    "cube4": lambda: _cube(4),
+    "cross3": lambda: _cross(3),
+    "cross4": lambda: _cross(4),
+    **{f"rational_{k}": lambda k=k: _rational_points(k) for k in range(8)},
+}
+
+
+@pytest.mark.parametrize("name", list(_HULL_INPUTS))
+def test_hull_matches_oracle_on_degenerate_and_reordered_inputs(name):
+    # the rays built along the way depend on the order of the points; the
+    # facets must not
+    points, same_hull = _HULL_INPUTS[name]()
+    points = [ratvec(p) for p in points]
+    expected = _oracle_facets(same_hull)
+    rng = random.Random(name)
+    for _ in range(4):
+        assert convex_hull_facets(points) == expected
+        rng.shuffle(points)
+
+
+@pytest.mark.parametrize("entry", corpus.catalog(), ids=lambda e: e.name)
+def test_hull_eliminations_stay_bounded(entry, monkeypatch):
+    # eliminations per ray-polytope hull: one per d-subset of the rays plus a
+    # rank check with the C(n, d) scan (793 on bl_points_5, 211 on u8 and
+    # bl_points_4, d + 2 on cp_d); one with the double-description hull
+    calls = []
+    eliminate = _exact._eliminate
+    monkeypatch.setattr(_exact, "_eliminate", lambda m, ncols: calls.append(ncols) or eliminate(m, ncols))
+    convex_hull_facets([ratvec(v) for v in entry.dual_vertices])
+    assert len(calls) <= entry.dim + 2, len(calls)
