@@ -3,10 +3,12 @@ tests, normalized volume, lattice-point enumeration.
 
 Everything here is exact, with no floating point: vertices and offsets are
 rationals, and hulls, eliminations and lattice-point scans run on integers.
-Vertices, facets and lattice points are kept in lexicographic order so that
-all outputs are byte-deterministic. A `Polytope` is given its facets at
-construction, computes its vertex-facet incidence once, and `from_points`
-builds one hull per point set.
+Hulls come from the double-description method (Fukuda and Prodon, "Double
+description method revisited", 1996): one elimination, then one pass over
+the points. Vertices, facets and lattice points are kept in lexicographic
+order so that all outputs are byte-deterministic. A `Polytope` is given its
+facets at construction, computes its vertex-facet incidence once, and
+`from_points` builds one hull per point set.
 """
 
 import itertools
