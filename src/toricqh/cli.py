@@ -1,19 +1,21 @@
 """Command-line interface.
 
-Targets are either catalog entry names or paths to vertex-list files
-(rows are ray-polytope vertices by default; --primal reads a file's rows, or a
-catalog entry's rays, as moment-polytope vertices instead). Exit codes:
-0 success, 1 domain error or a closed stdout, 2 parse/usage error.
+One table, COMMANDS, gives each command's handler, help line, target and
+options; `parse_args` reads argv against it, and the help is printed from it.
+Targets are catalog entry names or paths to vertex-list files (rows are
+ray-polytope vertices; --primal reads a file's rows, or a catalog entry's
+rays, as moment-polytope vertices). Exit codes: 0 success or help, 1 domain
+error or a closed stdout, 2 usage error, with a `parse error:` line on stderr.
 
 The layers every target needs load with this module; batyrev, potential,
 newton, and solver with numpy, load in the commands that use them.
 """
 
-import argparse
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import corpus, support
 from .errors import DomainError, OriginNotInterior, ParseError
@@ -26,9 +28,7 @@ def _fmt(x: float) -> str:
 
 
 def _fmt_complex(z: complex) -> str:
-    if z.imag == 0:
-        return _fmt(z.real)
-    return f"{_fmt(z.real)}{z.imag:+.10g}i"
+    return _fmt(z.real) if z.imag == 0 else f"{_fmt(z.real)}{z.imag:+.10g}i"
 
 
 def _fmt_value(z: complex) -> str:
@@ -38,10 +38,6 @@ def _fmt_value(z: complex) -> str:
 
     real, imag = value_key(z)
     return _fmt_complex(complex(z.real if real else 0.0, z.imag if imag else 0.0))
-
-
-def _fmt_point(coords) -> str:
-    return "(" + ", ".join(_fmt_complex(z) for z in coords) + ")"
 
 
 def _resolve(target: str):
@@ -123,29 +119,22 @@ def _cmd_check(args) -> int:
         print(f"  none: the moment polytope has no polar dual ({exc})")
     else:
         refl, why = is_reflexive(ray_poly)
-        print("ray polytope (dual side):")
-        print(f"  vertices: {len(ray_poly.vertices)}")
-        print(f"  facets: {len(ray_poly.facets)}")
+        print(f"ray polytope (dual side):\n  vertices: {len(ray_poly.vertices)}\n  facets: {len(ray_poly.facets)}")
         print(f"  lattice points: {len(lattice_points(ray_poly))}")
         print(f"  reflexive: {'yes' if refl else f'no ({why})'}")
         if not refl and not has_fan:
             raise DomainError(f"not reflexive: {why}")
     moment = P if args.primal else dual_polytope(P)
     delz, dwhy = is_delzant(moment)
-    print("moment polytope (primal side):")
-    print(f"  vertices: {len(moment.vertices)}")
-    print(f"  facets: {len(moment.facets)}")
+    print(f"moment polytope (primal side):\n  vertices: {len(moment.vertices)}\n  facets: {len(moment.facets)}")
     print(f"  lattice points: {len(lattice_points(moment))}")
     print(f"  delzant: {'yes' if delz else f'no ({dwhy})'}")
     fan, _ = _fan(entry, rows, args.primal)
     smooth, offender = is_smooth(fan)
     convex, _ = support.is_strictly_convex(support.monotone_support(fan))
-    print(
-        f"fan: {len(fan.rays)} rays, {len(fan.maximal_cones)} maximal cones, "
-        f"smooth: {'yes' if smooth else f'no (cone {offender})'}, "
-        f"complete: {'yes' if is_complete(fan) else 'no'}, "
-        f"monotone class ample: {'yes' if convex else 'no'}"
-    )
+    print(f"fan: {len(fan.rays)} rays, {len(fan.maximal_cones)} maximal cones, "
+          f"smooth: {'yes' if smooth else f'no (cone {offender})'}, complete: {'yes' if is_complete(fan) else 'no'}, "
+          f"monotone class ample: {'yes' if convex else 'no'}")
     return 0
 
 
@@ -173,8 +162,7 @@ def _cmd_presentation(args) -> int:
         F = support.SupportFunction(fan, _parse_values(args.support, len(fan.rays), "--support", Fraction))
         ok, witness = support.is_strictly_convex(F)
         if not ok:
-            cone, ray = witness
-            raise DomainError(f"support values are not strictly convex (cone {cone}, ray {ray})")
+            raise DomainError(f"support values are not strictly convex (cone {witness[0]}, ray {witness[1]})")
     pres = batyrev.presentation(fan, F)
     if args.json:
         print(batyrev.to_json(pres))
@@ -224,10 +212,8 @@ def _cmd_solve(args) -> int:
     for p in report.points:
         kind = "nondegenerate" if p.nondegenerate else "degenerate"
         residual = "0 (exact)" if p.exact and p.residual == 0 else _fmt(p.residual)
-        print(
-            f"  {_fmt_point(p.coords)}  residual={residual}  rank={p.hessian_rank}  "
-            f"{kind}  basin={p.cluster_size}"
-        )
+        print(f"  ({', '.join(map(_fmt_complex, p.coords))})  residual={residual}  rank={p.hessian_rank}  "
+              f"{kind}  basin={p.cluster_size}")
     print(f"verdict: {report.verdict.value}")
     print(f"justification: {solver.classify(report)}")
     print("critical values:")
@@ -249,10 +235,8 @@ def _cmd_spectrum(args) -> int:
         flag = "  [degenerate, multiplicity lower bound 1]" if degenerate else ""
         print(f"  {_fmt_value(value)}{flag}")
     if report.deficit:
-        print(
-            f"note: deficit {report.deficit} of {report.expected_count} "
-            "(multiplicity at degenerate points, or unlocated roots)"
-        )
+        print(f"note: deficit {report.deficit} of {report.expected_count} "
+              "(multiplicity at degenerate points, or unlocated roots)")
     return 0
 
 
@@ -265,69 +249,85 @@ def _cmd_valuations(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="toricqh",
-        description="Quantum cohomology semisimplicity of toric Fano manifolds "
-        "via superpotential critical points",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# command -> (handler, help line, takes a target, options); an option maps to
+# (bool for a flag, else its value's type; default, ... when it is required;
+# help line)
+_PRIMAL = {"--primal": (bool, False, "read the file's rows, or the catalog entry's rays, as moment-polytope vertices")}
+_COEFFS = {**_PRIMAL, "--coeffs": (str, None, "comma-separated positive coefficients, one per ray")}
+_JSON = {"--json": (bool, False, "print the report as JSON")}
+_SOLVE = {**_COEFFS, "--seed": (int, 0, "seed of the Newton starts (default: 0)"), "--starts": (int, None, (
+    "Newton starts (default: 200 per expected point, or 8 per point when those find all points nondegenerate)"))}
+COMMANDS = {
+    "catalog": (_cmd_catalog, "list built-in examples", False, {}),
+    "check": (_cmd_check, "reflexivity / Delzant / smoothness report", True, _PRIMAL),
+    "fan": (_cmd_fan, "rays, cone counts, primitive collections", True, _PRIMAL),
+    "presentation": (_cmd_presentation, "quantized Stanley-Reisner presentation", True,
+                     {**_PRIMAL, "--support": (str, None, "comma-separated rational values, one per ray"), **_JSON}),
+    "potential": (_cmd_potential, "render the superpotential", True,
+                  {**_COEFFS, "--symbolic": (bool, False, "show s-exponents")}),
+    "solve": (_cmd_solve, "locate critical points and classify", True, {**_SOLVE, **_JSON}),
+    "spectrum": (_cmd_spectrum, "critical values of the superpotential", True, {**_SOLVE, **_JSON}),
+    "valuations": (_cmd_valuations, "blow-up family quasimorphism report", False,
+                   {"--alpha": (str, ..., "the family's alpha, a rational"), "--beta": (str, ..., "its beta")}),
+}
 
-    def add_target(p):
-        p.add_argument("target", help="catalog entry name or polytope file path")
-        p.add_argument("--primal", action="store_true",
-                       help="read the file's rows, or the catalog entry's rays, as moment-polytope vertices")
 
-    sub.add_parser("catalog", help="list built-in examples").set_defaults(func=_cmd_catalog)
+def _print_help(name) -> None:
+    """Print the help of one command, or with name None of the program, from COMMANDS."""
+    if name is None:
+        head = "usage: toricqh COMMAND [-h] ...\n\nsemisimplicity of toric Fano quantum cohomology\n\ncommands:"
+        rows = [(command, row[1]) for command, row in COMMANDS.items()]
+    else:
+        _, about, takes_target, options = COMMANDS[name]
+        head = f"usage: toricqh {name}{' TARGET' * takes_target} [OPTION ...]\n\n{about}\n"
+        rows = [("TARGET", "catalog entry or polytope file path")] * takes_target + [("-h, --help", "print this help")]
+        rows += [(o if kind is bool else f"{o} {o[2:].upper()}", text) for o, (kind, _, text) in options.items()]
+    print("\n".join([head, *(f"  {key:18}  {text}" for key, text in rows)]))
 
-    p = sub.add_parser("check", help="reflexivity / Delzant / smoothness report")
-    add_target(p)
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("fan", help="rays, cone counts, primitive collections")
-    add_target(p)
-    p.set_defaults(func=_cmd_fan)
-
-    p = sub.add_parser("presentation", help="quantized Stanley-Reisner presentation")
-    add_target(p)
-    p.add_argument("--support", help="comma-separated rational support values, one per ray")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_presentation)
-
-    p = sub.add_parser("potential", help="render the superpotential")
-    add_target(p)
-    p.add_argument("--coeffs", help="comma-separated positive coefficients, one per ray")
-    p.add_argument("--symbolic", action="store_true", help="show s-exponents")
-    p.set_defaults(func=_cmd_potential)
-
-    for name, help_text in (
-        ("solve", "locate critical points and classify"),
-        ("spectrum", "critical values of the superpotential"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        add_target(p)
-        p.add_argument("--coeffs", help="comma-separated positive coefficients, one per ray")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--starts", type=int, default=None, help="Newton starts (default: 200 per expected "
-                       "point, stopping after the first 8 per point if they find all points nondegenerate)")
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=_cmd_solve if name == "solve" else _cmd_spectrum)
-
-    p = sub.add_parser("valuations", help="blow-up family quasimorphism report")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    p.set_defaults(func=_cmd_valuations)
-
-    return parser
+def parse_args(argv):
+    """argv read against COMMANDS: the namespace a handler reads, with the
+    handler as `func`, or None once help is printed. Options are spelled out
+    in full, as --name value or --name=value; a value may start with "-", and
+    every argument after "--" is positional. Every usage error is a ParseError."""
+    name, rest = (argv[0] if argv else None), iter(argv[1:])
+    if name in ("-h", "--help"):
+        return _print_help(None)
+    if name not in COMMANDS:
+        raise ParseError(f"{'unknown command ' + repr(name) if argv else 'no command'}; "
+                         f"choose from {', '.join(COMMANDS)}")
+    func, _, takes_target, options = COMMANDS[name]
+    args, positional = {o[2:]: default for o, (_, default, _) in options.items()}, []
+    for arg in rest:
+        flag, eq, value = arg.partition("=")
+        kind = options[flag][0] if flag in options else None
+        if arg in ("-h", "--help"):
+            return _print_help(name)
+        if arg == "--":
+            positional += rest
+        elif arg[:1] != "-":
+            positional.append(arg)
+        elif kind is None or eq and kind is bool:
+            raise ParseError(f"{name}: unknown option {arg!r}")
+        elif kind is not bool and not eq and (value := next(rest, None)) is None:
+            raise ParseError(f"{flag} needs a value")
+        else:
+            try:
+                args[flag[2:]] = True if kind is bool else kind(value)
+            except ValueError:
+                raise ParseError(f"{flag}: not an integer: {value!r}") from None
+    if len(positional) != takes_target:
+        raise ParseError(f"{name}: unexpected argument {positional[takes_target]!r}" if positional
+                         else f"{name}: missing TARGET, a catalog entry name or polytope file path")
+    if missing := [o for o, value in args.items() if value is ...]:
+        raise ParseError(f"{name}: --{missing[0]} is required")
+    return SimpleNamespace(command=name, func=func, **args, **{"target": positional[0]} if takes_target else {})
 
 
 def run_cli(argv) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        code = args.func(args)
+        args = parse_args(list(argv))
+        code = 0 if args is None else args.func(args)
         sys.stdout.flush()  # a reader that closed the pipe, as `| head` does, raises here and not at exit
         return code
     except BrokenPipeError:  # the SIGPIPE recipe of Python's signal docs: quiet exit 1, exit flush to devnull
