@@ -13,8 +13,9 @@ facets at construction, computes its vertex-facet incidence once, and
 
 import itertools
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import ceil, floor
+from operator import and_
 from typing import NamedTuple
 
 from . import _exact
@@ -87,14 +88,16 @@ _hulls: dict[tuple[RatVec, ...], Polytope] = {}
 
 
 def _hull(pts: tuple[RatVec, ...]) -> Polytope:
-    """Hull of sorted, distinct rational points: a point is a vertex when the
-    normals of the facets through it have full rank."""
+    """Hull of sorted, distinct rational points: a point is a vertex when no
+    other point lies on every facet through it, as the smallest face holding
+    a non-vertex holds at least two points. No elimination beyond the hull's."""
     facets = convex_hull_facets(pts)
     *ipts, offsets = _exact.integer_rows([*pts, [f.offset for f in facets]])[1]
-    dim = len(pts[0])
-    vertices = [p for p, q in zip(pts, ipts)
-                if _exact.rank([f.normal for f, c in zip(facets, offsets) if dot(q, f.normal) == c]) == dim]
-    return Polytope(dim, vertices, facets)
+    # bit i of a facet's mask is set when point i lies on the facet
+    masks = [sum(1 << i for i, q in enumerate(ipts) if dot(q, f.normal) == c) for f, c in zip(facets, offsets)]
+    everything = (1 << len(pts)) - 1
+    vertices = [p for i, p in enumerate(pts) if reduce(and_, (z for z in masks if z >> i & 1), everything) == 1 << i]
+    return Polytope(len(pts[0]), vertices, facets)
 
 
 def convex_hull_facets(points) -> list[Facet]:

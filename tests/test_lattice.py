@@ -281,3 +281,18 @@ def test_hull_eliminations_stay_bounded(entry, monkeypatch):
     monkeypatch.setattr(_exact, "_eliminate", lambda m, ncols: calls.append(ncols) or eliminate(m, ncols))
     convex_hull_facets([ratvec(v) for v in entry.dual_vertices])
     assert len(calls) <= entry.dim + 2, len(calls)
+
+
+@pytest.mark.parametrize("entry", corpus.catalog(), ids=lambda e: e.name)
+def test_hull_finds_its_vertices_without_a_further_elimination(entry, monkeypatch):
+    # the hull of every lattice point of the ray polytope, the origin and the
+    # points inside faces included, has the rays as vertices; they are read off
+    # the facet incidences, so the hull's own elimination is the only one
+    P = Polytope.from_points(entry.dual_vertices)
+    pts = tuple(ratvec(p) for p in lattice_points(P))
+    calls = []
+    eliminate = _exact._eliminate
+    monkeypatch.setattr(_exact, "_eliminate", lambda m, ncols: calls.append(ncols) or eliminate(m, ncols))
+    hull = lattice._hull(pts)
+    assert len(calls) == 1
+    assert (hull.vertices, hull.facets) == (P.vertices, P.facets)
