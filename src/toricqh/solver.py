@@ -303,15 +303,28 @@ def _newton(exponents, coeffs, u0):
     return sample_u, sample_res
 
 
+def _pin(cpus) -> None:
+    """Keep this process on `cpus` where the machine allows it; a refusal
+    only leaves the placement to the kernel."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
 def _newton_per_cpu(exponents, coeffs, u0):
     """`_newton` on the rows of u0, dealt round-robin to forked processes, at
     most one per CPU and each with a full pool of _BLOCK rows; bit for bit the
-    one-process call, as every row runs alone. The share of a child that
-    exits non-zero or sends short data runs here; no child outlives the call.
-    Without os.fork or os.sched_getaffinity, or with another thread running
-    (a fork copies only the calling thread), all rows run here."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(u0) // _BLOCK)
+    one-process call, as every row runs alone. Share k runs pinned to the k-th
+    CPU of the affinity mask, since the kernel often leaves a forked child on
+    its parent's CPU; the mask comes back when the call ends. The share of a
+    child that exits non-zero or sends short data runs here; no child
+    outlives the call. Without os.fork or os.sched_getaffinity, or with
+    another thread running (a fork copies only the calling thread), all rows
+    run here."""
+    mask = os.sched_getaffinity(0) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else {0}
+    cpus = sorted(mask)
+    workers = min(len(cpus), len(u0) // _BLOCK)
     if workers < 2 or threading.active_count() > 1:
         return _newton(exponents, coeffs, u0)
     children = {}  # share k -> (pid, read end of its pipe)
@@ -320,6 +333,7 @@ def _newton_per_cpu(exponents, coeffs, u0):
             read, write = os.pipe()
             if (pid := os.fork()) == 0:  # the child sends share k and exits, never returning to the caller
                 try:
+                    _pin({cpus[k]})
                     os.close(read)
                     with open(write, "wb") as pipe:
                         pipe.write(b"".join(a.tobytes() for a in _newton(exponents, coeffs, u0[k::workers])))
@@ -329,6 +343,7 @@ def _newton_per_cpu(exponents, coeffs, u0):
             os.close(write)
             children[k] = pid, open(read, "rb")
         us, R = np.empty_like(u0), np.empty(len(u0))
+        _pin({cpus[0]})
         us[::workers], R[::workers] = _newton(exponents, coeffs, u0[::workers])
         for k, (pid, pipe) in list(children.items()):
             with pipe:
@@ -347,6 +362,7 @@ def _newton_per_cpu(exponents, coeffs, u0):
             pipe.close()
             os.kill(pid, 9)  # SIGKILL; importing `signal` would cost every solve about 0.6 ms
             os.waitpid(pid, 0)
+        _pin(mask)
 
 
 def _newton_steps(h, g):

@@ -788,6 +788,38 @@ def test_an_exception_in_the_parent_kills_and_reaps_every_child(monkeypatch):
     _assert_no_child_left()
 
 
+_REAL_CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0}
+
+
+@pytest.mark.skipif(len(_REAL_CPUS) < 2, reason="pinning shares to distinct CPUs needs two of them")
+@pytest.mark.parametrize("parent_share", ["returns", "raises"])
+def test_the_parent_runs_its_share_pinned_and_gets_its_cpu_mask_back(monkeypatch, parent_share):
+    W, _ = build("bl_points_5")
+    exponents, coeffs = solver._arrays(W)
+    u0 = _seeded_starts(W.dim, 200)
+    ref_us, ref_R = solver._newton(exponents, coeffs, u0)
+    monkeypatch.setattr(solver, "_BLOCK", 16)
+    mask, parent, newton, pinned = os.sched_getaffinity(0), os.getpid(), solver._newton, []
+
+    def kernel(exponents, coeffs, u0):
+        if os.getpid() == parent:
+            pinned.append(os.sched_getaffinity(0))
+            if parent_share == "raises":
+                raise KeyboardInterrupt
+        return newton(exponents, coeffs, u0)
+
+    monkeypatch.setattr(solver, "_newton", kernel)
+    if parent_share == "raises":
+        with pytest.raises(KeyboardInterrupt):
+            solver._newton_per_cpu(exponents, coeffs, u0)
+    else:
+        us, R = solver._newton_per_cpu(exponents, coeffs, u0)
+        assert us.tobytes() == ref_us.tobytes() and R.tobytes() == ref_R.tobytes()
+    assert pinned == [{min(mask)}]
+    assert os.sched_getaffinity(0) == mask
+    _assert_no_child_left()
+
+
 @pytest.mark.parametrize("why", ["no os.fork", "no os.sched_getaffinity", "a second thread", "one CPU"])
 def test_newton_runs_in_one_process_when_forking_is_unsafe_or_useless(monkeypatch, why):
     W, _ = build("cp2")
