@@ -213,6 +213,68 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    (),                                                 # no command
+    ("wrongcommand",),                                  # unknown command
+    ("solve", "cp2", "--frobnicate"),                   # unknown option
+    ("solve", "cp2", "--see", "3"),                     # an abbreviation is not an option
+    ("check", "cp2", "--json"),                         # an option of another command
+    ("solve", "cp2", "--seed"),                         # option missing its value
+    ("presentation", "cp2", "--support"),
+    ("solve",),                                         # missing target
+    ("fan", "--primal"),
+    ("solve", "cp2", "cp3"),                            # a second target
+    ("catalog", "cp2"),                                 # a target for a command without one
+    ("solve", "cp2", "--seed", "x"),                    # non-integer --seed / --starts
+    ("solve", "cp2", "--seed=1.5"),
+    ("spectrum", "cp2", "--starts", "many"),
+    ("solve", "cp2", "--json=yes"),                     # a value for a flag
+    ("valuations", "--beta", "1"),                      # valuations without --alpha
+    ("valuations", "--alpha", "2"),
+])
+def test_every_usage_error_is_a_parse_error(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (("solve", "cp2", "--seed", "3", "--starts", "40"), ("solve", "cp2", "--seed=3", "--starts=40")),
+    (("spectrum", "bl1_cp2", "--seed", "3", "--json"), ("spectrum", "bl1_cp2", "--seed=3", "--json")),
+])
+def test_an_option_value_after_an_equals_sign_reads_the_same(spaced, joined, capsys):
+    first = run(capsys, *spaced)
+    assert first[0] == 0 and run(capsys, *joined) == first
+
+
+def test_a_value_may_start_with_a_dash_and_a_double_dash_ends_the_options(tmp_path, capsys, monkeypatch):
+    spaced = run(capsys, "presentation", "cp2", "--support", "-1,-1,-1")
+    assert spaced[0] == 0 and spaced == run(capsys, "presentation", "cp2", "--support=-1,-1,-1")
+    monkeypatch.chdir(tmp_path)
+    Path("-cp2.txt").write_text("2 3\n1 0\n0 1\n-1 -1\n")
+    code, out, _ = run(capsys, "check", "--", "-cp2.txt")
+    assert code == 0 and "reflexive: yes" in out
+    assert run(capsys, "check", "-cp2.txt")[0] == 2  # read as an unknown option
+
+
+def test_help_lists_every_command_and_every_option(capsys):
+    for flag in ("-h", "--help"):
+        code, out, err = run(capsys, flag)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: toricqh COMMAND")
+        listed = [line.split()[0] for line in out.split("commands:\n")[1].splitlines()]
+        assert listed == ["catalog", "check", "fan", "presentation", "potential", "solve", "spectrum", "valuations"]
+    code, out, err = run(capsys, "solve", "-h")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: toricqh solve TARGET")
+    options = [word for line in out.splitlines() for word in line.split()[:1] if word.startswith("-")]
+    assert options == ["-h,", "--primal", "--coeffs", "--seed", "--starts", "--json"]
+    # help needs no complete command line: no target and no required option
+    assert run(capsys, "valuations", "--help")[:2] == (0, run(capsys, "valuations", "-h")[1])
+    assert run(capsys, "solve", "--help")[0] == 0
+    assert run(capsys, "catalog", "--help")[1].startswith("usage: toricqh catalog")
+
+
 def test_primal_file(tmp_path, capsys):
     # the square [-1,1]^2 as a moment polytope
     path = tmp_path / "square.txt"
@@ -508,7 +570,8 @@ def test_only_solve_and_spectrum_load_numpy():
 IMPORT_PROBE = """
 import contextlib, io, sys
 loaded = lambda: [sorted(m for m in sys.modules if m.split(".")[0] == "toricqh"),
-                  *(m in sys.modules for m in ("numpy", "json", "logging", "dataclasses", "inspect"))]
+                  *(m in sys.modules for m in ("numpy", "json", "logging", "dataclasses", "inspect",
+                                               "argparse", "gettext", "locale"))]
 import toricqh
 steps = [loaded()]
 from toricqh.cli import run_cli
@@ -526,6 +589,9 @@ def _src_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+NO_PARSER = [False, False, False]  # argparse, gettext, locale
+
+
 def test_each_command_loads_only_the_layers_it_runs():
     commands = ["catalog", "check cp2", "fan bl1_cp2", "presentation u8 --json", "potential u8",
                 "valuations --alpha 2 --beta 1", "spectrum cp2 --json", "solve cp2 --json"]
@@ -538,19 +604,20 @@ def test_each_command_loads_only_the_layers_it_runs():
     with_potential = sorted(with_batyrev + ["toricqh.potential"])
     with_newton = sorted(with_potential + ["toricqh.newton"])
     with_solver = sorted(with_newton + ["toricqh.solver"])
-    # (toricqh.* modules, numpy, json, logging, dataclasses, inspect) after
-    # each step: no command loads dataclasses, and only numpy brings inspect
+    # (toricqh.* modules, numpy, json, logging, dataclasses, inspect, argparse,
+    # gettext, locale) after each step: no command loads dataclasses or an
+    # argument parser with its translations, and only numpy brings inspect
     assert ast.literal_eval(proc.stdout) == [
-        [["toricqh"], False, False, False, False, False],              # import toricqh
-        [base, False, False, False, False, False],                     # import toricqh.cli
-        [base, False, False, False, False, False],                     # catalog
-        [base, False, False, False, False, False],                     # check cp2
-        [base, False, False, False, False, False],                     # fan bl1_cp2
-        [with_batyrev, False, True, False, False, False],              # presentation u8 --json
-        [with_potential, False, True, False, False, False],            # potential u8
-        [with_newton, False, True, False, False, False],               # valuations
-        [with_solver, True, True, False, False, True],                 # spectrum cp2 --json
-        [with_solver, True, True, False, False, True],                 # solve cp2 --json
+        [["toricqh"], False, False, False, False, False, *NO_PARSER],              # import toricqh
+        [base, False, False, False, False, False, *NO_PARSER],                     # import toricqh.cli
+        [base, False, False, False, False, False, *NO_PARSER],                     # catalog
+        [base, False, False, False, False, False, *NO_PARSER],                     # check cp2
+        [base, False, False, False, False, False, *NO_PARSER],                     # fan bl1_cp2
+        [with_batyrev, False, True, False, False, False, *NO_PARSER],              # presentation u8 --json
+        [with_potential, False, True, False, False, False, *NO_PARSER],            # potential u8
+        [with_newton, False, True, False, False, False, *NO_PARSER],               # valuations
+        [with_solver, True, True, False, False, True, *NO_PARSER],                 # spectrum cp2 --json
+        [with_solver, True, True, False, False, True, *NO_PARSER],                 # solve cp2 --json
     ]
 
 
