@@ -119,14 +119,18 @@ def _cmd_check(args) -> int:
         print(f"  none: the moment polytope has no polar dual ({exc})")
     else:
         refl, why = is_reflexive(ray_poly)
-        print(f"ray polytope (dual side):\n  vertices: {len(ray_poly.vertices)}\n  facets: {len(ray_poly.facets)}")
+        print("ray polytope (dual side):")
+        print(f"  vertices: {len(ray_poly.vertices)}")
+        print(f"  facets: {len(ray_poly.facets)}")
         print(f"  lattice points: {len(lattice_points(ray_poly))}")
         print(f"  reflexive: {'yes' if refl else f'no ({why})'}")
         if not refl and not has_fan:
             raise DomainError(f"not reflexive: {why}")
     moment = P if args.primal else dual_polytope(P)
     delz, dwhy = is_delzant(moment)
-    print(f"moment polytope (primal side):\n  vertices: {len(moment.vertices)}\n  facets: {len(moment.facets)}")
+    print("moment polytope (primal side):")
+    print(f"  vertices: {len(moment.vertices)}")
+    print(f"  facets: {len(moment.facets)}")
     print(f"  lattice points: {len(lattice_points(moment))}")
     print(f"  delzant: {'yes' if delz else f'no ({dwhy})'}")
     fan, _ = _fan(entry, rows, args.primal)
@@ -286,10 +290,9 @@ def _print_help(name) -> None:
 
 
 def parse_args(argv):
-    """argv read against COMMANDS: the namespace a handler reads, with the
-    handler as `func`, or None once help is printed. Options are spelled out
-    in full, as --name value or --name=value; a value may start with "-", and
-    every argument after "--" is positional. Every usage error is a ParseError."""
+    """argv read against COMMANDS: the namespace a handler reads, with the handler
+    as `func`, or None once help is printed. Options are spelled out in full, as
+    --name value or --name=value, and a value may start with "-"."""
     name, rest = (argv[0] if argv else None), iter(argv[1:])
     if name in ("-h", "--help"):
         return _print_help(None)
@@ -303,9 +306,7 @@ def parse_args(argv):
         kind = options[flag][0] if flag in options else None
         if arg in ("-h", "--help"):
             return _print_help(name)
-        if arg == "--":
-            positional += rest
-        elif arg[:1] != "-":
+        if arg[:1] != "-":
             positional.append(arg)
         elif kind is None or eq and kind is bool:
             raise ParseError(f"{name}: unknown option {arg!r}")
@@ -317,8 +318,7 @@ def parse_args(argv):
             except ValueError:
                 raise ParseError(f"{flag}: not an integer: {value!r}") from None
     if len(positional) != takes_target:
-        raise ParseError(f"{name}: unexpected argument {positional[takes_target]!r}" if positional
-                         else f"{name}: missing TARGET, a catalog entry name or polytope file path")
+        raise ParseError(f"{name}: takes {'one TARGET' if takes_target else 'no target'}, got {positional or 'none'}")
     if missing := [o for o, value in args.items() if value is ...]:
         raise ParseError(f"{name}: --{missing[0]} is required")
     return SimpleNamespace(command=name, func=func, **args, **{"target": positional[0]} if takes_target else {})
