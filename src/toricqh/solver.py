@@ -357,7 +357,7 @@ def _newton_per_cpu(exponents, coeffs, u0):
             else:
                 us[k::workers], R[k::workers] = _newton(exponents, coeffs, share)
         return us, R
-    finally:  # after an exception: kill and reap the children left
+    finally:  # after an exception: kill and reap the children left; always: the mask comes back
         for pid, pipe in children.values():
             pipe.close()
             os.kill(pid, 9)  # SIGKILL; importing `signal` would cost every solve about 0.6 ms
