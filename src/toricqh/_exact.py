@@ -69,28 +69,13 @@ def _eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
 
 
 def rank(rows) -> int:
-    if not rows:
-        return 0
-    _, m = integer_rows(rows)
-    return len(_eliminate(m, len(m[0]))[0])
+    return len(echelon(rows, len(rows[0]))[0]) if rows else 0
 
 
 def det(rows) -> Fraction:
     den, m = integer_rows(rows)
     pivots, d, sign = _eliminate(m, len(m))
-    if len(pivots) < len(m):
-        return Fraction(0)
-    return Fraction(sign * d, den ** len(m))
-
-
-def solve(rows, rhs) -> RatVec | None:
-    """Solve the square system rows @ x = rhs; None when singular."""
-    n = len(rows)
-    _, m = integer_rows([(*r, b) for r, b in zip(rows, rhs)])
-    pivots, d, _ = _eliminate(m, n)
-    if len(pivots) < n:
-        return None
-    return tuple(Fraction(row[n], d) for row in m)
+    return Fraction(sign * d, den ** len(m)) if len(pivots) == len(m) else Fraction(0)
 
 
 def echelon(rows, ncols) -> tuple[list[int], int, list]:

@@ -4,7 +4,8 @@ primitive collections.
 
 Only simplicial fans are supported. A fan is its rays and its maximal cones;
 a cone is the sorted tuple of its ray indices, and every face of a maximal
-cone is stored.
+cone is stored. Each maximal cone is eliminated once, when the fan is built;
+smoothness, minimal-cone location and cone forms read that elimination.
 """
 
 import itertools
@@ -24,16 +25,22 @@ class Fan:
     def __init__(self, dim: int, rays, maximal):
         """The fan of the given maximal cones (ray index sets) with all their
         faces. Valid for simplicial fans only, where every subset of a cone's
-        rays spans a face; a cone on dependent rays is rejected."""
+        rays spans a face; a cone on dependent rays is rejected. `inverses` maps
+        each d-cone, in `maximal_cones` order, to (D, D B^-1) for B its ray
+        columns and D = +-det B: one elimination of [B | I], also the rank check."""
         self.dim = dim
         self.rays: tuple[IntVec, ...] = tuple(tuple(int(x) for x in r) for r in rays)
         if len(set(self.rays)) != len(self.rays):
             raise ValueError("fan rays must be pairwise distinct")
+        eye = [[int(i == j) for j in range(dim)] for i in range(dim)]
         cones: dict[int, set[Cone]] = {0: {()}}
-        for idx in maximal:
-            idx = tuple(sorted(idx))
-            if _exact.rank(self.ray_matrix(idx)) != len(idx):
+        self.inverses: dict[Cone, tuple[int, tuple[IntVec, ...]]] = {}
+        for idx in sorted({tuple(sorted(idx)) for idx in maximal}):
+            pivots, d, m = _exact.echelon([(*col, *e) for col, e in zip(zip(*self.ray_matrix(idx)), eye)], len(idx))
+            if len(pivots) != len(idx):
                 raise NotSimplicial(f"rays {idx} are linearly dependent")
+            if len(idx) == dim:
+                self.inverses[idx] = d, tuple(tuple(row[dim:]) for row in m)
             for k in range(1, len(idx) + 1):
                 cones.setdefault(k, set()).update(itertools.combinations(idx, k))
         self.cones: dict[int, tuple[Cone, ...]] = {k: tuple(sorted(v)) for k, v in cones.items()}
@@ -69,9 +76,10 @@ def fan_from_reflexive(dual: Polytope) -> Fan:
 
 @lru_cache(maxsize=None)
 def is_smooth(f: Fan) -> tuple[bool, Cone | None]:
-    """True iff every maximal cone's rays form a lattice basis (det +-1)."""
+    """True iff every d-cone's rays form a lattice basis, |D| = 1 in `inverses`.
+    A maximal cone of lower dimension is not checked: its fan is not complete."""
     for cone in f.maximal_cones:
-        if abs(_exact.det(f.ray_matrix(cone))) != 1:
+        if abs(f.inverses[cone][0]) != 1:
             return False, cone
     return True, None
 
@@ -104,11 +112,13 @@ def minimal_cone_containing(f: Fan, v) -> dict[int, int]:
         raise NotComplete("minimal cone location needs a complete fan")
     if not is_smooth(f)[0]:
         raise NotSmooth("minimal cone location needs a smooth fan")
-    v = tuple(int(x) for x in v)
-    for cone in f.maximal_cones:
-        x = _exact.solve(list(zip(*f.ray_matrix(cone))), v)
-        if x is not None and all(c >= 0 for c in x):  # integral: the cone is unimodular and v integral
-            return {i: int(c) for i, c in zip(cone, x) if c > 0}
+    w = tuple(int(x) for x in v)
+    if w != tuple(v):
+        raise ValueError(f"minimal cone location needs an integral vector, got {tuple(v)}")
+    for cone, (d, inverse) in f.inverses.items():
+        x = [d * _exact.dot(row, w) for row in inverse]  # B^-1 w, as d = 1 / d on a smooth fan
+        if all(c >= 0 for c in x):
+            return {i: c for i, c in zip(cone, x) if c > 0}
     raise NotComplete("no cone contains the given vector")  # unreachable when complete
 
 

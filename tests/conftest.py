@@ -15,6 +15,26 @@ def fracs(seq):
     return tuple(Fraction(x) for x in seq)
 
 
+def fraction_solve(rows, rhs):
+    """x with rows @ x = rhs for a square system, by Fraction Gauss-Jordan
+    elimination; None when the rows are dependent. A reference that shares
+    nothing with the package's integer elimination."""
+    n = len(rows)
+    m = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot is None:
+            return None
+        m[c], m[pivot] = m[pivot], m[c]
+        pv = m[c][c]
+        m[c] = [x / pv for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return tuple(m[i][n] for i in range(n))
+
+
 def match_complex_sets(found, expected, tol=1e-8):
     """Greedy matching of two complex multisets within tol; order-free."""
     found = sorted(found, key=lambda z: (z.real, z.imag))

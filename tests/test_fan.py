@@ -1,10 +1,13 @@
 import itertools
 import random
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from toricqh import corpus
-from toricqh._exact import rank
+from conftest import fraction_solve
+from toricqh import _exact, corpus, lattice
+from toricqh._exact import dot, rank
 from toricqh.cli import run_cli
 from toricqh.errors import NotReflexive, NotSimplicial
 from toricqh.fan import (
@@ -122,6 +125,93 @@ def test_minimal_cone_interior():
     coeffs = minimal_cone_containing(f, (1, 1))
     assert tuple(coeffs) == tuple(sorted((e1, e2)))  # the cone, in cone order
     assert coeffs == {e1: 1, e2: 1}
+
+
+@pytest.mark.parametrize("v", [(Fraction(1, 2), 0), (0.9, 0.9), (0, 1e-9)])
+def test_minimal_cone_rejects_a_non_integral_vector(v):
+    with pytest.raises(ValueError, match="integral vector"):
+        minimal_cone_containing(fan_of("cp2"), v)
+
+
+def test_minimal_cone_reads_integral_fractions_and_floats_as_integers():
+    f = fan_of("cp2")
+    e1, e2 = f.rays.index((1, 0)), f.rays.index((0, 1))
+    coeffs = minimal_cone_containing(f, (Fraction(2), 1.0))
+    assert coeffs == {e1: 2, e2: 1} and all(type(c) is int for c in coeffs.values())
+
+
+@pytest.mark.parametrize("name", ["cp2", "cp3", "bl3_cp2", "u8"])
+def test_minimal_cone_matches_a_fraction_solve_over_a_box(name):
+    # the first maximal cone whose coordinates of v are all nonnegative, by a
+    # Fraction solve per cone; its positive coordinates are the answer
+    f = fan_of(name)
+    for v in itertools.product(range(-2, 3), repeat=f.dim):
+        for cone in f.maximal_cones:
+            x = fraction_solve(list(zip(*f.ray_matrix(cone))), v)
+            if all(c >= 0 for c in x):
+                break
+        assert all(c.denominator == 1 for c in x)
+        assert minimal_cone_containing(f, v) == {i: int(c) for i, c in zip(cone, x) if c > 0}, v
+
+
+def _table_fans():
+    """Every catalog fan, then fans with cones that are not unimodular, one of
+    them with a maximal cone of lower dimension."""
+    yield from (corpus.build(e.name)[0] for e in corpus.catalog())
+    yield Fan(2, [(1, 0), (1, 2)], [(0, 1)])
+    yield Fan(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
+    yield Fan(3, [(2, 1, 0), (0, 3, 1), (1, 0, 5), (-1, -1, -1)], [(2, 0, 1), (3,)])
+    yield Fan(3, [(1, 0, 0), (0, 1, 0), (1, 1, -3)], [(0, 1, 2)])
+
+
+def test_each_d_cone_stores_d_times_the_inverse_of_its_rays():
+    for f in _table_fans():
+        assert tuple(f.inverses) == f.maximal_cones
+        for cone, (d, inverse) in f.inverses.items():
+            # (D B^-1) B = D I, B having the cone's rays as columns
+            product = [[dot(row, ray) for ray in f.ray_matrix(cone)] for row in inverse]
+            assert product == [[d * (i == j) for j in range(f.dim)] for i in range(f.dim)], (f, cone)
+        assert is_smooth(f)[0] == all(abs(_exact.det(f.ray_matrix(c))) == 1 for c in f.maximal_cones), f
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The widths of the eliminations run from here on, with no fan, hull or
+    polytope fact cached beforehand."""
+    monkeypatch.setattr(corpus, "build", lru_cache(maxsize=None)(lambda name: corpus.entry(name).build()))
+    monkeypatch.setattr(lattice, "_hulls", {})
+    for cached in (lattice.dual_polytope, lattice.is_reflexive, lattice.is_delzant):
+        cached.cache_clear()
+    calls = []
+    eliminate = _exact._eliminate
+    monkeypatch.setattr(_exact, "_eliminate", lambda m, ncols: calls.append(ncols) or eliminate(m, ncols))
+    return calls
+
+
+@pytest.mark.parametrize("command", ["fan", "presentation", "check"])
+@pytest.mark.parametrize("entry", corpus.catalog(), ids=lambda e: e.name)
+def test_fan_facts_cost_one_elimination_per_maximal_cone(entry, command, eliminations, capsys):
+    # the rank check, smoothness, cone forms and minimal-cone queries all read
+    # the one elimination per maximal cone made when the fan is built (a solve
+    # per query and cone made 338 on `presentation bl_points_5`); beyond it, a
+    # face fan needs the ray polytope's hull, and `check` the hull and one
+    # Delzant determinant per vertex of the moment polytope
+    assert run_cli([command, entry.name]) == 0
+    capsys.readouterr()
+    count = len(eliminations)
+    hull = int(command == "check" or entry.fan_builder is None)
+    delzant = len(lattice.dual_polytope(entry.ray_polytope()).vertices) if command == "check" else 0
+    assert count <= len(corpus.build(entry.name)[0].maximal_cones) + hull + delzant, count
+
+
+def test_check_on_u8s_polytope_file_runs_49_eliminations(tmp_path, eliminations, capsys):
+    # 24 maximal cones, the hull, and 24 Delzant determinants
+    rows = corpus.entry("u8").dual_vertices
+    path = tmp_path / "u8.txt"
+    path.write_text(f"4 {len(rows)}\n" + "".join(" ".join(map(str, v)) + "\n" for v in rows))
+    assert run_cli(["check", str(path)]) == 0
+    capsys.readouterr()
+    assert len(eliminations) <= 49, len(eliminations)
 
 
 @pytest.mark.parametrize("name", ["cp2", "bl3_cp2", "u8"])

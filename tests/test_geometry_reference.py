@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import integer_kernel
+from conftest import fraction_solve, integer_kernel
 from toricqh import _exact, corpus
+from toricqh.errors import NotSimplicial
+from toricqh.fan import Fan
 from toricqh.lattice import (
     Facet,
     Polytope,
@@ -25,6 +27,7 @@ from toricqh.lattice import (
     lattice_points,
     normalized_volume,
 )
+from toricqh.support import SupportFunction, cone_forms
 
 
 def _ref_echelon(rows):
@@ -72,23 +75,6 @@ def _ref_det(rows):
                 f = m[i][c] * inv
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return result
-
-
-def _ref_solve(rows, rhs):
-    n = len(rows)
-    m = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return None
-        m[c], m[pivot] = m[pivot], m[c]
-        pv = m[c][c]
-        m[c] = [x / pv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return tuple(m[i][n] for i in range(n))
 
 
 def _kernel(rows, ncols):
@@ -182,7 +168,7 @@ def _ref_project_affine(points):
     basis = [diffs[i] for i in _ref_independent_rows(diffs)]
     coord_idx = _ref_independent_rows([tuple(row[j] for row in basis) for j in range(len(base))])
     square = [[basis[i][j] for i in range(len(basis))] for j in coord_idx]
-    return [_ref_solve(square, [dp[j] for j in coord_idx]) for dp in diffs]
+    return [fraction_solve(square, [dp[j] for j in coord_idx]) for dp in diffs]
 
 
 def _ref_triangulate(points):
@@ -230,6 +216,21 @@ def _random_matrix(rng, nrows, ncols, rank, rational):
     return rows
 
 
+def _cone_form(rows, rhs):
+    """x with rows @ x = rhs, read off the fan's inverse table: the rows,
+    scaled to integers by their common denominator D, are the rays of one
+    cone, and x is the cone form of the values D rhs; None when the rows are
+    dependent."""
+    den, rays = _exact.integer_rows(rows)
+    if len(set(map(tuple, rays))) < len(rays):
+        return None  # a repeated row: a fan's rays are distinct
+    try:
+        fan = Fan(len(rays), rays, [range(len(rays))])
+    except NotSimplicial:
+        return None
+    return cone_forms(SupportFunction(fan, tuple(den * Fraction(b) for b in rhs)))[tuple(range(len(rays)))]
+
+
 @pytest.mark.parametrize("rational", [False, True], ids=["int", "rational"])
 def test_elimination_matches_fraction_reference(rational):
     rng = random.Random(41 + rational)
@@ -241,7 +242,7 @@ def test_elimination_matches_fraction_reference(rational):
         square = _random_matrix(rng, nrows, nrows, rng.randint(0, nrows), rational)
         rhs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(nrows)]
         assert _exact.det(square) == _ref_det(square)
-        assert _exact.solve(square, rhs) == _ref_solve(square, rhs)
+        assert _cone_form(square, rhs) == fraction_solve(square, rhs)
 
 
 def test_elimination_edge_cases():
@@ -249,8 +250,8 @@ def test_elimination_edge_cases():
     assert _exact.rank([(0, 0, 0), (0, 0, 0)]) == 0
     assert _exact.det([]) == 1
     assert _exact.det([(1, 2), (2, 4)]) == 0
-    assert _exact.solve([(1, 2), (2, 4)], [1, 2]) is None
-    assert _exact.solve([(0, 1), (1, 0)], [Fraction(1, 2), 3]) == (3, Fraction(1, 2))
+    assert _cone_form([(1, 2), (2, 4)], [1, 2]) is None
+    assert _cone_form([(0, 1), (1, 0)], [Fraction(1, 2), 3]) == (3, Fraction(1, 2))
     assert _exact.det([(0, 1), (1, 0)]) == -1
 
 

@@ -18,9 +18,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import match_complex_sets
+from conftest import fraction_solve, match_complex_sets
 from toricqh import corpus
-from toricqh._exact import solve
 from toricqh.cli import run_cli
 from toricqh.lattice import dual_polytope
 
@@ -131,7 +130,7 @@ def test_presentation_is_invariant_under_lattice_automorphisms(name, data, tmp_p
     ref_code, ref_out = _run(capsys, "presentation", name, "--json")
     assert code == ref_code == 0
     got, ref = json.loads(out), json.loads(ref_out)
-    back = [tuple(int(x) for x in solve(M, r)) for r in got["rays"]]
+    back = [tuple(int(x) for x in fraction_solve(M, r)) for r in got["rays"]]
     ref_rays = [tuple(r) for r in ref["rays"]]
     assert sorted(back) == sorted(ref_rays)
     assert _relations(got, back) == _relations(ref, ref_rays)
