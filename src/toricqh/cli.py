@@ -44,18 +44,17 @@ def _resolve(target: str):
     """(catalog entry or None, the target's rows: a file's rows or a catalog
     entry's rays, on whichever side --primal picks). Neither hulled nor
     dualised here: a catalog entry's own fan reads no hull, and a Delzant
-    moment polytope with the origin on its boundary has no dual."""
+    moment polytope with the origin on its boundary has no dual. A catalog
+    name wins over a directory of that name."""
     path = Path(target)
-    if path.exists():
-        try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ParseError(f"cannot read {target}: {getattr(exc, 'strerror', None) or exc}") from None
-        entry, rows = None, corpus.parse_polytope(text)
-    else:
+    if not path.exists() or path.is_dir() and any(e.name == target for e in corpus.catalog()):
         entry = corpus.entry(target)  # raises UnknownInput for junk targets
-        rows = entry.dual_vertices
-    return entry, rows
+        return entry, entry.dual_vertices
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {target}: {getattr(exc, 'strerror', None) or exc}") from None
+    return None, corpus.parse_polytope(text)
 
 
 def _fan(entry, rows, primal: bool):
@@ -94,7 +93,7 @@ def _potential(args):
     from . import potential
 
     label, fan, F = _target(args)
-    coeffs = _parse_values(args.coeffs, len(fan.rays), "--coeffs", float) if args.coeffs else None
+    coeffs = None if args.coeffs is None else _parse_values(args.coeffs, len(fan.rays), "--coeffs", float)
     return label, fan, potential.build_potential(fan, F, coeffs)
 
 
@@ -162,7 +161,7 @@ def _cmd_presentation(args) -> int:
     from . import batyrev
 
     label, fan, F = _target(args)
-    if args.support:
+    if args.support is not None:
         F = support.SupportFunction(fan, _parse_values(args.support, len(fan.rays), "--support", Fraction))
         ok, witness = support.is_strictly_convex(F)
         if not ok:

@@ -231,6 +231,9 @@ def test_usage_error_exit_code(capsys):
     ("solve", "cp2", "--json=yes"),                     # a value for a flag
     ("valuations", "--beta", "1"),                      # valuations without --alpha
     ("valuations", "--alpha", "2"),
+    ("solve", "cp2", "--coeffs=", "--json"),            # an empty value list
+    ("solve", "cp2", "--coeffs", ""),
+    ("presentation", "cp2", "--support=", "--json"),
 ])
 def test_every_usage_error_is_a_parse_error(argv, capsys):
     code, out, err = run(capsys, *argv)
@@ -650,6 +653,17 @@ def test_an_unreadable_target_is_a_parse_error(kind, tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith(f"parse error: cannot read {target}: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_a_catalog_name_wins_over_a_directory_of_that_name(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    expected = run(capsys, "check", "u8")
+    Path("u8").mkdir()
+    assert expected[0] == 0 and run(capsys, "check", "u8") == expected
+    # any other directory stays unreadable
+    Path("not_an_entry").mkdir()
+    code, out, err = run(capsys, "check", "not_an_entry")
+    assert (code, out) == (2, "") and err.startswith("parse error: cannot read not_an_entry: ")
 
 
 class _ClosedPipe(io.StringIO):
