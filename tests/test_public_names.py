@@ -1,7 +1,9 @@
 """Every public top-level function or class of the package is either used by
 the package itself or exported from `toricqh`, every private top-level
 function and constant is used by the package, and every defaulted parameter
-is passed by some call in the package: none exists only for tests."""
+is passed by some call in the package: none exists only for tests. No two
+modules define the same public top-level name, so a use of one module's
+name cannot keep the other's alive."""
 
 import ast
 from pathlib import Path
@@ -58,6 +60,25 @@ def _unreferenced_private(sources: dict[str, str]) -> list[str]:
         for name, node in _private_definitions(tree)
         if not any(name in names for user, names in uses if user is not node)
     ]
+
+
+def _defined_twice(sources: dict[str, str]) -> list[str]:
+    """name (modules) of each public top-level function, class or constant
+    that more than one module defines."""
+    owners: dict[str, list[str]] = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [sub.id for target in targets for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+            else:
+                continue
+            for name in dict.fromkeys(names):
+                if not name.startswith("_"):
+                    owners.setdefault(name, []).append(module)
+    return [f"{name} ({', '.join(modules)})" for name, modules in owners.items() if len(modules) > 1]
 
 
 def _callee(call):
@@ -130,6 +151,15 @@ def test_the_defaults_check_sees_a_parameter_no_call_passes():
     assert _unpassed_defaults(sources) == ["a.f(z)", "a.g(x)", "a.m(d)"]
 
 
+def test_the_duplicate_check_sees_a_name_two_modules_define():
+    sources = {
+        "a": "def solve(): pass\nLIMIT = 1\n_helper = 2\nclass Fan: pass\n",
+        "b": "from a import Fan\ndef solve(): pass\n_helper = 3\nLIMIT: int = 2\n",
+        "c": "import a\na.solve()\nFan = a.Fan\n",
+    }
+    assert _defined_twice(sources) == ["solve (a, b)", "LIMIT (a, b)", "Fan (a, c)"]
+
+
 def _sources():
     return {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -144,3 +174,7 @@ def test_every_private_function_and_constant_is_used_by_the_package():
 
 def test_every_defaulted_parameter_is_passed_by_the_package():
     assert _unpassed_defaults(_sources()) == []
+
+
+def test_no_two_modules_define_the_same_public_name():
+    assert _defined_twice(_sources()) == []
