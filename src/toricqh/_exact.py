@@ -4,8 +4,9 @@ Vectors are tuples, matrices are lists of row tuples; entries are ints or
 Fractions. Every elimination runs on Python ints through one fraction-free
 Gauss-Jordan core (Bareiss 1968). `integer_rows` is the one place rationals
 become integers: it scales all rows by one common denominator D, which
-changes neither rank, kernel nor solutions, and `det` divides by D^n.
-Everything is copied before elimination, so callers can share inputs freely.
+changes neither rank nor kernel, and `det` divides by D^n. The hull and the
+fan invert a matrix A by one `echelon` of [A | I]. Everything is copied
+before elimination, so callers can share inputs freely.
 """
 
 from fractions import Fraction
@@ -75,7 +76,9 @@ def rank(rows) -> int:
 def det(rows) -> Fraction:
     den, m = integer_rows(rows)
     pivots, d, sign = _eliminate(m, len(m))
-    return Fraction(sign * d, den ** len(m)) if len(pivots) == len(m) else Fraction(0)
+    if len(pivots) < len(m):
+        return Fraction(0)
+    return Fraction(sign * d, den ** len(m))
 
 
 def echelon(rows, ncols) -> tuple[list[int], int, list]:

@@ -4,8 +4,7 @@ primitive collections.
 
 Only simplicial fans are supported. A fan is its rays and its maximal cones;
 a cone is the sorted tuple of its ray indices, and every face of a maximal
-cone is stored. Each maximal cone is eliminated once, when the fan is built;
-smoothness, minimal-cone location and cone forms read that elimination.
+cone is stored. Each maximal cone is eliminated once, when the fan is built.
 """
 
 import itertools

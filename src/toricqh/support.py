@@ -30,8 +30,8 @@ class SupportFunction(NamedTuple("SupportFunction", [("fan", Fan), ("values", tu
 @lru_cache(maxsize=None)
 def cone_forms(F: SupportFunction) -> dict[Cone, RatVec]:
     """Linear form m_sigma per maximal cone, with <m_sigma, n_rho> = F(n_rho);
-    computed once per support function. m_sigma = u B^-1 for u the cone's
-    values: the fan's D B^-1 applied to the integers c u, divided by D c."""
+    computed once per support function, as u B^-1 for u the cone's values:
+    the fan's D B^-1 times c u (integers, c the values' common denominator) over D c."""
     c, (values,) = _exact.integer_rows([F.values])
     return {cone: tuple(Fraction(sum(values[i] * x for i, x in zip(cone, col)), d * c) for col in zip(*inverse))
             for cone, (d, inverse) in F.fan.inverses.items()}
@@ -53,8 +53,11 @@ def is_strictly_convex(F: SupportFunction) -> tuple[bool, tuple[Cone, int] | Non
     if not is_complete(fan):
         raise NotComplete("strict convexity is checked on complete fans")
     for cone, form in cone_forms(F).items():  # in the order of fan.maximal_cones
+        members = set(cone)
         for i, ray in enumerate(fan.rays):
-            if i not in cone and _exact.dot(form, ray) <= F.values[i]:
+            if i in members:
+                continue
+            if _exact.dot(form, ray) <= F.values[i]:
                 return False, (cone, i)
     return True, None
 
