@@ -8,6 +8,7 @@ cone is stored. Each maximal cone is eliminated once, when the fan is built.
 """
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 
 from . import _exact
@@ -85,22 +86,13 @@ def is_smooth(f: Fan) -> tuple[bool, Cone | None]:
 
 @lru_cache(maxsize=None)
 def is_complete(f: Fan) -> bool:
-    """Completeness via boundary pairing: all maximal cones are d-dimensional
-    and every (d-1)-cone lies in exactly two of them."""
-    top_sets = [set(c) for c in f.maximal_cones]
-    if not top_sets:
-        return False
-    for k, cones in f.cones.items():
-        if k == f.dim:
-            continue
-        for c in cones:
-            if not any(set(c) <= t for t in top_sets):
-                return False  # a maximal cone of dimension < d
-    for ridge in f.cones.get(f.dim - 1, ()):
-        count = sum(1 for t in top_sets if set(ridge) <= t)
-        if count != 2:
-            return False
-    return True
+    """Completeness via boundary pairing: every stored cone is a face of a
+    d-cone, and every ridge of a d-cone lies in exactly two of them."""
+    top = f.maximal_cones
+    ridges = Counter(r for cone in top for r in itertools.combinations(cone, f.dim - 1))
+    faces = {c for cone in top for k in range(f.dim - 1) for c in itertools.combinations(cone, k)}
+    return (bool(top) and all(n == 2 for n in ridges.values())
+            and len(faces) + len(ridges) + len(top) == sum(map(len, f.cones.values())))
 
 
 def minimal_cone_containing(f: Fan, v) -> dict[int, int]:
@@ -123,19 +115,15 @@ def minimal_cone_containing(f: Fan, v) -> dict[int, int]:
 
 def primitive_collections(f: Fan) -> list[tuple[int, ...]]:
     """All minimal non-faces: sets of rays spanning no cone while every
-    proper subset does. For simplicial complete fans the size is <= d+1."""
+    proper subset does, by size and then lexicographically. Each is a stored
+    face with one larger ray added. For simplicial complete fans the size is
+    <= d+1."""
     if not is_complete(f):
         raise NotComplete("primitive collections need a complete fan")
-    stored = {frozenset(c) for cones in f.cones.values() for c in cones}
-    collections = []
-    for size in range(2, f.dim + 2):
-        for subset in itertools.combinations(range(len(f.rays)), size):
-            s = frozenset(subset)
-            if s in stored:
-                continue
-            if all(s - {i} in stored for i in subset):
-                collections.append(subset)
-    return collections
+    stored = {c for cones in f.cones.values() for c in cones}
+    collections = [c + (j,) for c in stored if c for j in range(c[-1] + 1, len(f.rays))
+                   if c + (j,) not in stored and all((*c[:k], *c[k + 1:], j) in stored for k in range(len(c)))]
+    return sorted(collections, key=lambda c: (len(c), c))
 
 
 def kushnirenko_bound(f: Fan) -> int:

@@ -6,9 +6,9 @@ rationals, and hulls, eliminations and lattice-point scans run on integers.
 Hulls come from the double-description method (Fukuda and Prodon, "Double
 description method revisited", 1996): one elimination, then one pass over
 the points. Vertices, facets and lattice points are kept in lexicographic
-order so that all outputs are byte-deterministic. A `Polytope` is given its
-facets at construction, computes its vertex-facet incidence once, and
-`from_points` builds one hull per point set.
+order so that all outputs are byte-deterministic. A `Polytope` is built from
+its facets and the vertices on each, which every constructor already holds,
+and `from_points` builds one hull per point set.
 """
 
 import itertools
@@ -33,16 +33,19 @@ class Facet(NamedTuple):
 class Polytope:
     """Full-dimensional polytope with exact rational vertices and its facets.
 
-    Vertices and facets are fixed at construction, each in sorted order, and
-    the vertices are exactly the extreme points. `from_points` keeps one hull
-    per point set. The vertex-facet incidence is computed once, on first use,
-    and every face computation reads it.
+    Built from its vertices and `faces`, each facet mapped to the indices of
+    its vertices. Vertices and facets are kept sorted, the vertices are the
+    extreme points, `incidence` holds each facet's vertex indices for every
+    face computation, and `from_points` keeps one hull per point set.
     """
 
-    def __init__(self, dim: int, vertices, facets):
+    def __init__(self, dim: int, vertices, faces):
         self.dim = dim
-        self.vertices: tuple[RatVec, ...] = tuple(sorted(ratvec(v) for v in vertices))
-        self.facets: tuple[Facet, ...] = tuple(sorted(facets))
+        ranked = sorted((ratvec(v), i) for i, v in enumerate(vertices))  # (vertex, its index in `vertices`)
+        self.vertices: tuple[RatVec, ...] = tuple(v for v, _ in ranked)
+        at = {i: k for k, (_, i) in enumerate(ranked)}
+        self.facets: tuple[Facet, ...] = tuple(sorted(faces))
+        self.incidence = tuple(frozenset(at[i] for i in faces[f]) for f in self.facets)
 
     @classmethod
     def from_points(cls, points) -> "Polytope":
@@ -61,14 +64,6 @@ class Polytope:
         D > 0 that makes them all integers."""
         den, rows = _exact.integer_rows([*self.vertices, [f.offset for f in self.facets]])
         return den, rows[:-1], rows[-1]
-
-    @cached_property
-    def incidence(self) -> tuple[frozenset[int], ...]:
-        """For each facet, the indices of the vertices on it."""
-        _, vertices, offsets = self.scaled
-        return tuple(
-            frozenset(i for i, v in enumerate(vertices) if dot(v, f.normal) == c) for f, c in zip(self.facets, offsets)
-        )
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for v in self.vertices for x in v)
@@ -96,8 +91,9 @@ def _hull(pts: tuple[RatVec, ...]) -> Polytope:
     # bit i of a facet's mask is set when point i lies on the facet
     masks = [sum(1 << i for i, q in enumerate(ipts) if dot(q, f.normal) == c) for f, c in zip(facets, offsets)]
     everything = (1 << len(pts)) - 1
-    vertices = [p for i, p in enumerate(pts) if reduce(and_, (z for z in masks if z >> i & 1), everything) == 1 << i]
-    return Polytope(len(pts[0]), vertices, facets)
+    vertices = [i for i in range(len(pts)) if reduce(and_, (z for z in masks if z >> i & 1), everything) == 1 << i]
+    return Polytope(len(pts[0]), [pts[i] for i in vertices],
+                    {f: [k for k, i in enumerate(vertices) if z >> i & 1] for f, z in zip(facets, masks)})
 
 
 def convex_hull_facets(points) -> list[Facet]:
@@ -153,14 +149,13 @@ def dual_polytope(P: Polytope) -> Polytope:
         bad = next(f for f in P.facets if f.offset >= 0)
         raise OriginNotInterior(f"facet {bad.normal} has offset {bad.offset} >= 0")
     dual_vertices = [tuple(Fraction(x) / (-f.offset) for x in f.normal) for f in P.facets]
-    # Each vertex v of P supports the dual facet <primitive(v), n> >= -1/scale,
-    # so the dual's facet list comes for free from P's vertex list.
-    dual_facets = []
-    for v in P.vertices:
+    # vertex v of P gives the dual facet <primitive(v), n> >= -1/scale, on the duals of the facets through v
+    faces = {}
+    for i, v in enumerate(P.vertices):
         prim = _exact.primitive(v)
         scale = next(Fraction(x) / p for x, p in zip(v, prim) if p != 0)
-        dual_facets.append(Facet(prim, Fraction(-1) / scale))
-    return Polytope(P.dim, dual_vertices, dual_facets)
+        faces[Facet(prim, Fraction(-1) / scale)] = [j for j, face in enumerate(P.incidence) if i in face]
+    return Polytope(P.dim, dual_vertices, faces)
 
 
 @lru_cache(maxsize=None)

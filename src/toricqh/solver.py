@@ -10,16 +10,17 @@ rows each deals its rows to forked processes, at most one per CPU
 (`_newton_per_cpu`); every row runs alone, so the report does not depend
 on the CPU count. Each cell of converged samples (`_cells`) is one critical
 point (`_points`); the verdicts count isolated points, so a degenerate
-point on a curve of critical points raises `NotIsolated` (`_isolated`). One
+point on a curve of critical points raises `NotIsolated` (`_isolated`); the
+points are closed under conjugation and sign vectors (`_closed_points`). One
 function, `_certified`, makes a point exact: at a rational candidate (a
-cluster centre snapped to small denominators, or the real input of
-`verify_point` read exactly) it reports residual 0 and the exact rank and
-value when the exact log-gradient vanishes there, so `exact` means that
-everywhere. Each x_i d_i W is supported on the rays, so by Bernstein's
-bound (Funct. Anal. Appl. 9, 1975) the lattice volume N bounds the isolated
-critical points with multiplicity; a default budget stops once its first 8N
-starts find N distinct nondegenerate points. Short of that, missing roots
-are reported as an honest deficit.
+snapped cluster centre, a sign vector, or the real input of `verify_point`
+read exactly) it reports residual 0 and the exact rank and value when the
+exact log-gradient vanishes there, so `exact` means that everywhere. Each
+x_i d_i W is supported on the rays, so by Bernstein's bound (Funct. Anal.
+Appl. 9, 1975) the lattice volume N bounds the isolated critical points with
+multiplicity; a default budget stops once its first 8N starts find N
+distinct nondegenerate points. Short of that, missing roots are reported as
+an honest deficit.
 
 This module holds every evaluation of W. The term values come from `_terms`
 in floats at log coordinates, or from `_exact_terms` in integers at a
@@ -28,6 +29,8 @@ and log-Hessian, so Newton, the numeric ranks and the certificate share one
 kernel.
 """
 
+import bisect
+import itertools
 import json
 import os
 import threading
@@ -509,9 +512,35 @@ def _points(W: Superpotential, exponents, coeffs, us, R) -> list[CriticalPoint]:
         near = all(abs(z.imag) <= snap and s != 0 and abs(float(s) - z.real) <= snap * max(1.0, abs(float(s)))
                    for s, z in zip(snapped, point.coords))
         points.append(_certified(W, point, snapped if near else None))
-    points.sort(key=lambda p: tuple(part for z in p.coords for part in value_key(z)))  # blind to the last bits
+    points.sort(key=_coords_key)
     _isolated(exponents, coeffs, points)
     return points
+
+
+def _coords_key(p: CriticalPoint):
+    return tuple(part for z in p.coords for part in value_key(z))  # blind to the last bits
+
+
+def _closed_points(W: Superpotential, exponents, coeffs, us, R) -> tuple[CriticalPoint, ...]:
+    """`_points`, closed under two symmetries of the critical locus: complex
+    conjugation (W's coefficients are real) and the sign vectors {+-1}^d with
+    residual below NEWTON_TOL that `_certified` makes exact. A candidate is
+    found within WIDE_TOL of a degenerate point or CLUSTER_TOL of another, per
+    coordinate; each one added has basin 0 and goes through `_isolated`."""
+    points = _points(W, exponents, coeffs, us, R)
+    found = np.array([p.coords for p in points], dtype=complex).reshape(len(points), W.dim)
+    tol = np.array([CLUSTER_TOL if p.nondegenerate else WIDE_TOL for p in points])[:, None, None]
+    candidates = np.concatenate([found.conj(), np.array(list(itertools.product((1.0, -1.0), repeat=W.dim)))])
+    fresh = ~(np.abs(candidates[None] - found[:, None]) <= tol * np.abs(found[:, None])).all(axis=2).any(axis=0)
+    conjugates, signs = candidates[:len(points)][fresh[:len(points)]], candidates[len(points):][fresh[len(points):]]
+    signs = signs[np.max(np.abs(_gradient(exponents, _terms(exponents, coeffs, np.log(signs)))), axis=1) < NEWTON_TOL]
+    numeric = _numeric_points(exponents, coeffs, np.concatenate([conjugates, signs]))
+    exact = [_certified(W, p, tuple(Fraction(z.real) for z in p.coords)) for p in numeric[len(conjugates):]]
+    added = [p._replace(cluster_size=0) for p in numeric[:len(conjugates)] + [p for p in exact if p.exact]]
+    _isolated(exponents, coeffs, added)
+    for p in added:  # into the sorted points, keying about log2 of them
+        bisect.insort(points, p, key=_coords_key)
+    return tuple(points)
 
 
 def solve(W: Superpotential, expected_count: int, cfg: SolverConfig = SolverConfig()) -> SolveReport:
@@ -533,11 +562,11 @@ def solve(W: Superpotential, expected_count: int, cfg: SolverConfig = SolverConf
     n_starts = cfg.budget(expected_count)
     probe = min(n_starts, _PROBE_PER_POINT * expected_count) if cfg.starts is None else n_starts
     us, R = _newton_per_cpu(exponents, coeffs, _starts(cfg.seed, 0, probe, W.dim))
-    report = SolveReport(expected_count, tuple(_points(W, exponents, coeffs, us, R)), len(us))
+    report = SolveReport(expected_count, _closed_points(W, exponents, coeffs, us, R), len(us))
     if probe < n_starts and report.verdict is not Verdict.SEMISIMPLE:
         rest_us, rest_R = _newton_per_cpu(exponents, coeffs, _starts(cfg.seed, probe, n_starts, W.dim))
         us, R = np.concatenate([us, rest_us]), np.concatenate([R, rest_R])
-        report = SolveReport(expected_count, tuple(_points(W, exponents, coeffs, us, R)), len(us))
+        report = SolveReport(expected_count, _closed_points(W, exponents, coeffs, us, R), len(us))
     if report.found_count > expected_count:
         raise OverCount(
             f"found {report.found_count} distinct critical points, expected at most {expected_count}; "

@@ -66,17 +66,18 @@ def moment_polytope(F: SupportFunction) -> Polytope:
     """The polytope {m : <m, n_rho> >= F(n_rho)}, vertices solved exactly.
 
     Vertices are in bijection with maximal cones (the vertex of sigma is its
-    linear form m_sigma).
-    """
+    linear form m_sigma); by strict convexity, ray rho's facet holds those of
+    the cones containing rho."""
     ok, witness = is_strictly_convex(F)
     if not ok:
         cone, ray = witness
         raise NotStrictlyConvex(f"cone {cone} and ray {ray} violate strict convexity")
-    vertices = set(cone_forms(F).values())
-    if len(vertices) != len(F.fan.maximal_cones):
+    forms = cone_forms(F)
+    if len(set(forms.values())) != len(forms):
         raise NotStrictlyConvex("cone forms are not pairwise distinct")
-    facets = [Facet(ray, Fraction(v)) for ray, v in zip(F.fan.rays, F.values)]
-    return Polytope(F.fan.dim, vertices, facets)
+    faces = {Facet(ray, Fraction(v)): [k for k, cone in enumerate(forms) if i in cone]
+             for i, (ray, v) in enumerate(zip(F.fan.rays, F.values))}
+    return Polytope(F.fan.dim, forms.values(), faces)
 
 
 def support_from_polytope(P: Polytope) -> tuple[Fan, SupportFunction]:

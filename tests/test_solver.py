@@ -229,14 +229,80 @@ def test_solve_never_loads_numpy_random():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_no_converged_start_gives_an_empty_report(monkeypatch):
-    def diverged(exponents, coeffs, u0):
-        return u0, np.full(len(u0), np.inf)
+def _diverged(exponents, coeffs, u0):
+    return u0, np.full(len(u0), np.inf)
 
-    monkeypatch.setattr(solver, "_newton", diverged)
-    W, expected = build("cp2")
+
+def test_no_converged_start_gives_an_empty_report(monkeypatch):
+    # at coefficients 1, 2, 3 no sign vector is critical, so the closure adds nothing
+    monkeypatch.setattr(solver, "_newton", _diverged)
+    W, expected = build("cp2", (1, 2, 3))
     report = solve(W, expected, SolverConfig(seed=0, starts=50))
     assert report.points == () and report.verdict is Verdict.UNDETERMINED
+
+
+def test_a_diverged_monotone_cp2_solve_reports_its_critical_sign_vector(monkeypatch):
+    monkeypatch.setattr(solver, "_newton", _diverged)
+    W, expected = build("cp2")
+    report = solve(W, expected, SolverConfig(seed=0, starts=50))
+    assert report.points == (CriticalPoint((1 + 0j, 1 + 0j), 0.0, 2, 0, 3 + 0j, True),)
+    assert report.verdict is Verdict.FIELD_SUMMAND
+
+
+@pytest.mark.parametrize("name", ["cp2", "bl2_cp2", "u8"])
+def test_a_dropped_complex_point_comes_back_as_its_partners_conjugate(monkeypatch, name):
+    W, expected = build(name)
+    full = solve(W, expected, SolverConfig(seed=0))
+    dropped = next(p for p in full.points if any(abs(z.imag) > 0.1 for z in p.coords) and p.nondegenerate)
+    points = solver._points
+    monkeypatch.setattr(solver, "_points", lambda *args: [p for p in points(*args) if p != dropped])
+    report = solve(W, expected, SolverConfig(seed=0))
+    assert len(report.points) == len(full.points)
+    (back,) = [p for p in report.points if p not in full.points]
+    partner = next(p for p in full.points if p.coords == tuple(z.conjugate() for z in back.coords))
+    assert back.cluster_size == 0 and back.hessian_rank == dropped.hessian_rank and not back.exact
+    assert match_point_sets([back.coords], [dropped.coords], tol=1e-10)
+    assert partner.value.conjugate() == pytest.approx(back.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["cp2", "cp6", "cp1xcp1", "bl3_cp2", "bl_points_4", "u8"])
+def test_every_report_is_closed_under_conjugation_and_holds_its_critical_sign_vectors(name):
+    W, _ = build(name)
+    report = solve(W, kushnirenko_bound(corpus.build(name)[0]), SolverConfig(seed=1))
+    coords = [p.coords for p in report.points]
+    degenerate = {p.coords for p in report.points if not p.nondegenerate}
+    for p in coords:
+        tol = solver.WIDE_TOL if p in degenerate else solver.CLUSTER_TOL
+        conj = [z.conjugate() for z in p]
+        assert any(all(abs(a - b) <= tol * abs(b) for a, b in zip(conj, q)) for q in coords)
+    for signs in itertools.product((1, -1), repeat=W.dim):
+        if solver._certified(W, solver._numeric_points(*solver._arrays(W), [signs])[0], signs).exact:
+            assert tuple(complex(s) for s in signs) in coords
+
+
+# bl_points_5 --starts 600 found 59 of its 60 points at these seeds of
+# random.Random(7).randrange(2**31): a real sign vector was missing, or the
+# conjugate of a point found
+@pytest.mark.parametrize("seed", [309474798, 818979512, 1021151938, 124464776, 1743948363])
+def test_bl_points_5_finds_all_60_points_at_former_miss_seeds(seed):
+    W, _ = build("bl_points_5")
+    report = solve(W, 60, SolverConfig(seed=seed, starts=600))
+    assert report.found_count == 60 and report.verdict is Verdict.SEMISIMPLE
+
+
+def test_max_iters_lets_a_far_u8_start_converge_and_caps_a_farther_one():
+    # Far from the critical points one term of W dominates and a Newton step
+    # moves u by about one unit, so starts near the escape radius are slow:
+    # the first row below converges at its 115th evaluation, the second at
+    # its 161st. So MAX_ITERS lies in [115, 160].
+    W, _ = build("u8")
+    exponents, coeffs = solver._arrays(W)
+    u0 = np.array([[47, -27 + 6j, 45, -3 + 2j], [-40 + 2j, 1 + 4j, 29 + 5j, 46 + 2j]])
+    for row, evaluations in zip(u0, (115, 161)):
+        assert _reference_newton_run(exponents, coeffs, row, solver.NEWTON_TOL, evaluations - 1) is None
+        assert _reference_newton_run(exponents, coeffs, row, solver.NEWTON_TOL, evaluations) is not None
+    residuals = solver._newton(exponents, coeffs, u0)[1]
+    assert np.isfinite(residuals[0]) and not np.isfinite(residuals[1])
 
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "solver_golden.json").read_text())
